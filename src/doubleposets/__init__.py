@@ -87,7 +87,6 @@ from .twoas import (
     b_mn,
     binfty_bracket,
     compose_by_expansion,
-    count_q_families,
     indexed_poset,
     operad_compose,
     phi,

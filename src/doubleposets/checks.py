@@ -7,6 +7,7 @@ drawn from a seeded generator so reruns are byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -15,6 +16,7 @@ from .core import (
     automorphism_count,
     canonical_form,
     involution,
+    is_connected,
     new_double_poset,
     relabel,
 )
@@ -292,10 +294,6 @@ def suite_operad(max_n=4):
     got = operad_compose(b_mn(1, 1), [one, c2])
     ok = len(got) == 3 and all(c == 1 for _, c in got.terms())
     out.append(_row("composition on a chain block", ok, f"{len(got)} terms"))
-
-    import itertools
-
-    from .core import is_connected
 
     pools = {n: enumerate_family(PosetFamily.WNP, n) for n in (1, 2, 3)}
     labeled = {

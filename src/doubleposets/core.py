@@ -204,23 +204,26 @@ def new_double_poset(n, gen1=(), gen2=()):
     )
 
 
+def _permute_rows(rows, pos):
+    """Strict rows relabeled so that 0-based vertex i becomes pos[i]."""
+    out = [0] * len(rows)
+    for i, r in enumerate(rows):
+        m = 0
+        for j in _bits(r):
+            m |= 1 << pos[j]
+        out[pos[i]] = m
+    return tuple(out)
+
+
 def relabel(p, perm):
     """Relabel: vertex i becomes perm[i-1].  perm must permute 1..n."""
     n = p.n
     if sorted(perm) != list(range(1, n + 1)):
         raise LabelError(f"not a permutation of 1..{n}: {perm!r}")
-    pos = [perm[i] - 1 for i in range(n)]
-
-    def remap(rows):
-        out = [0] * n
-        for i in range(n):
-            m = 0
-            for j in _bits(rows[i]):
-                m |= 1 << pos[j]
-            out[pos[i]] = m
-        return out
-
-    return DoublePoset._from_rows(n, remap(p.up1), remap(p.up2))
+    pos = [v - 1 for v in perm]
+    return DoublePoset._from_rows(
+        n, _permute_rows(p.up1, pos), _permute_rows(p.up2, pos)
+    )
 
 
 def induced_subposet(p, vertices):
@@ -312,7 +315,8 @@ def plane_total_order(p):
     order = sorted(range(p.n), key=lambda i: ranks[i])
     # On a plane poset the union of the orders is total, so the strict
     # down-set sizes must be 0..n-1; anything else is a bug upstream.
-    assert sorted(ranks) == list(range(p.n)), "union order is not total"
+    if sorted(ranks) != list(range(p.n)):
+        raise AssertionError("union order is not total")
     return tuple(v + 1 for v in order)
 
 
@@ -429,28 +433,9 @@ def canonical_form(p):
     The key is (n, strict le1 pairs, strict le2 pairs) of the
     canonical labeling; keys are equal iff the posets are isomorphic.
     """
-    if p._canon is not None:
-        return p._canon
-    order = _canonical_order(p)
-    n = p.n
-    pos = [0] * n
-    for newpos, old in enumerate(order):
-        pos[old] = newpos
-
-    def remap(rows):
-        out = [0] * n
-        for old in range(n):
-            m = 0
-            for j in _bits(rows[old]):
-                m |= 1 << pos[j]
-            out[pos[old]] = m
-        return out
-
-    canon = DoublePoset._from_rows(n, remap(p.up1), remap(p.up2))
-    result = (canon, canon.identity_key())
-    canon._canon = result
-    p._canon = result
-    return result
+    if p._canon is None:
+        _canonical_order_map(p)
+    return p._canon
 
 
 def canonical_key(p):
@@ -458,13 +443,23 @@ def canonical_key(p):
 
 
 def _canonical_order_map(p):
-    """(canonical poset, pos) with pos[old 0-based] = new 0-based."""
-    order = _canonical_order(p)
-    pos = [0] * p.n
-    for newpos, old in enumerate(order):
+    """(canonical poset, pos) with pos[old 0-based] = new 0-based.
+
+    Runs the canonical search once and fills the _canon cache of p and
+    of its representative when it is empty.
+    """
+    n = p.n
+    pos = [0] * n
+    for newpos, old in enumerate(_canonical_order(p)):
         pos[old] = newpos
-    canon = canonical_form(p)[0]
-    return canon, pos
+    if p._canon is None:
+        canon = DoublePoset._from_rows(
+            n, _permute_rows(p.up1, pos), _permute_rows(p.up2, pos)
+        )
+        result = (canon, canon.identity_key())
+        canon._canon = result
+        p._canon = result
+    return p._canon[0], pos
 
 
 def involution(p):
@@ -473,53 +468,49 @@ def involution(p):
     return canonical_form(swapped)[0]
 
 
-def automorphism_count(p):
-    """Number of relabelings fixing both relations, by backtracking."""
-    n = p.n
-    if n == 0:
-        return 1
+def _automorphisms(orders):
+    """Yield every vertex permutation preserving each strict order.
+
+    orders is a nonempty tuple of strict-closure row tuples on one
+    vertex set; a permutation is yielded as the 0-based image tuple.
+    Vertices only map to vertices with the same up/down degrees.
+    """
+    n = len(orders[0])
+    downs = [_down_rows(n, rows) for rows in orders]
     profile = [
-        (
-            p.up1[v].bit_count(),
-            p.dn1[v].bit_count(),
-            p.up2[v].bit_count(),
-            p.dn2[v].bit_count(),
+        tuple(
+            (rows[v].bit_count(), dns[v].bit_count())
+            for rows, dns in zip(orders, downs)
         )
         for v in range(n)
     ]
-    up1, up2 = p.up1, p.up2
     image = [0] * n
     used = [False] * n
-    count = 0
 
-    def dfs(v):
-        nonlocal count
+    def extend(v):
         if v == n:
-            count += 1
+            yield tuple(image)
             return
         for w in range(n):
             if used[w] or profile[v] != profile[w]:
                 continue
-            ok = True
-            for u in range(v):
-                x = image[u]
-                if (
-                    (up1[v] >> u & 1) != (up1[w] >> x & 1)
-                    or (up1[u] >> v & 1) != (up1[x] >> w & 1)
-                    or (up2[v] >> u & 1) != (up2[w] >> x & 1)
-                    or (up2[u] >> v & 1) != (up2[x] >> w & 1)
-                ):
-                    ok = False
-                    break
-            if ok:
+            if all(
+                (rows[v] >> u & 1) == (rows[w] >> image[u] & 1)
+                and (rows[u] >> v & 1) == (rows[image[u]] >> w & 1)
+                for rows in orders
+                for u in range(v)
+            ):
                 image[v] = w
                 used[w] = True
-                dfs(v + 1)
+                yield from extend(v + 1)
                 used[w] = False
-        return
 
-    dfs(0)
-    return count
+    return extend(0)
+
+
+def automorphism_count(p):
+    """Number of relabelings fixing both relations, by backtracking."""
+    return sum(1 for _ in _automorphisms((p.up1, p.up2)))
 
 
 # Single posets (one order), used by the completion searches.
@@ -649,7 +640,8 @@ def n_shape_completions():
     """
     zig = new_single_poset(4, [(1, 3), (2, 3), (2, 4)])
     comps = plane_completions(zig)
-    assert len(comps) == 2, comps
+    if len(comps) != 2:
+        raise AssertionError(comps)
     return comps
 
 
@@ -659,36 +651,27 @@ def _forbidden_wn_keys():
 
 
 @functools.lru_cache(maxsize=None)
-def _lambda_key():
+def _forbidden_forest_keys():
     lam = new_double_poset(3, [(1, 3), (2, 3)], [(1, 2)])
-    return canonical_key(lam)
+    return frozenset((canonical_key(lam),))
+
+
+def _plane_avoiding(p, bad_keys, size):
+    """Plane with no size-vertex induced subposet keyed in bad_keys."""
+    return is_plane(p) and not any(
+        canonical_key(induced_subposet(p, sub)) in bad_keys
+        for sub in itertools.combinations(range(1, p.n + 1), size)
+    )
 
 
 def is_wn(p):
     """Plane with no 4-subset inducing either zigzag completion."""
-    if not is_plane(p):
-        return False
-    if p.n < 4:
-        return True
-    bad = _forbidden_wn_keys()
-    verts = range(1, p.n + 1)
-    for sub in itertools.combinations(verts, 4):
-        if canonical_key(induced_subposet(p, sub)) in bad:
-            return False
-    return True
+    return _plane_avoiding(p, _forbidden_wn_keys(), 4)
 
 
 def is_forest(p):
     """Plane with no 3-subset inducing two le2-ordered minima under a top."""
-    if not is_plane(p):
-        return False
-    if p.n < 3:
-        return True
-    bad = _lambda_key()
-    for sub in itertools.combinations(range(1, p.n + 1), 3):
-        if canonical_key(induced_subposet(p, sub)) == bad:
-            return False
-    return True
+    return _plane_avoiding(p, _forbidden_forest_keys(), 3)
 
 
 def wn_completions(q):

@@ -25,10 +25,11 @@ from .core import (
     induced_subposet,
     is_connected,
     _add_closed_edge,
+    _automorphisms,
     _bits,
-    _down_rows,
+    _forbidden_forest_keys,
     _forbidden_wn_keys,
-    _lambda_key,
+    _permute_rows,
 )
 
 
@@ -118,32 +119,36 @@ def _plane_classes(n):
     return tuple(out)
 
 
+def _avoiding_extensions(smaller, bad_keys, subset_size):
+    """Key-sorted extensions of the smaller classes avoiding bad_keys.
+
+    Every class of size n-1 already avoids them, so only subsets
+    through the new top vertex need a look.
+    """
+    out = [
+        q
+        for p in smaller
+        for q in _plane_extensions(p)
+        if _new_vertex_avoids(q, bad_keys, subset_size)
+    ]
+    out.sort(key=lambda p: p.identity_key())
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=None)
 def _wn_classes(n):
     if n == 0:
         return (EMPTY,)
-    bad = _forbidden_wn_keys()
-    out = []
-    for p in _wn_classes(n - 1):
-        for q in _plane_extensions(p):
-            if _new_vertex_avoids(q, bad, 4):
-                out.append(q)
-    out.sort(key=lambda p: p.identity_key())
-    return tuple(out)
+    return _avoiding_extensions(_wn_classes(n - 1), _forbidden_wn_keys(), 4)
 
 
 @functools.lru_cache(maxsize=None)
 def _forest_classes(n):
     if n == 0:
         return (EMPTY,)
-    bad = frozenset((_lambda_key(),))
-    out = []
-    for p in _forest_classes(n - 1):
-        for q in _plane_extensions(p):
-            if _new_vertex_avoids(q, bad, 3):
-                out.append(q)
-    out.sort(key=lambda p: p.identity_key())
-    return tuple(out)
+    return _avoiding_extensions(
+        _forest_classes(n - 1), _forbidden_forest_keys(), 3
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,50 +180,6 @@ def _labeled_single_posets(n):
     return tuple(out)
 
 
-def _relabel_rows(rows, perm):
-    n = len(rows)
-    out = [0] * n
-    for i in range(n):
-        m = 0
-        for j in _bits(rows[i]):
-            m |= 1 << perm[j]
-        out[perm[i]] = m
-    return tuple(out)
-
-
-def _poset_automorphisms(rows):
-    """All permutations (0-based tuples) preserving one strict order."""
-    n = len(rows)
-    dns = _down_rows(n, rows)
-    profile = [(rows[v].bit_count(), dns[v].bit_count()) for v in range(n)]
-    perms = []
-    image = [0] * n
-    used = [False] * n
-
-    def dfs(v):
-        if v == n:
-            perms.append(tuple(image))
-            return
-        for w in range(n):
-            if used[w] or profile[v] != profile[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if (rows[v] >> u & 1) != (rows[w] >> image[u] & 1) or (
-                    rows[u] >> v & 1
-                ) != (rows[image[u]] >> w & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                dfs(v + 1)
-                used[w] = False
-
-    dfs(0)
-    return perms
-
-
 @functools.lru_cache(maxsize=None)
 def _single_poset_classes(n):
     """Canonical row tuples of unlabeled posets on n vertices."""
@@ -236,16 +197,17 @@ def _dp_classes(n):
     out = []
     seen = set()
     for rows1 in _single_poset_classes(n):
-        auts = _poset_automorphisms(rows1)
+        auts = list(_automorphisms((rows1,)))
         orbit_seen = set()
         for rows2 in _labeled_single_posets(n):
-            rep = min(_relabel_rows(rows2, perm) for perm in auts)
+            rep = min(_permute_rows(rows2, perm) for perm in auts)
             if rep in orbit_seen:
                 continue
             orbit_seen.add(rep)
-            p = DoublePoset._from_rows(n, list(rows1), list(rep))
+            p = DoublePoset._from_rows(n, rows1, rep)
             canon, key = canonical_form(p)
-            assert key not in seen, "duplicate isoclass from orbit transversal"
+            if key in seen:
+                raise AssertionError("duplicate isoclass from orbit transversal")
             seen.add(key)
             out.append(canon)
     out.sort(key=lambda p: p.identity_key())
@@ -279,7 +241,7 @@ def schroeder_coefficients(n):
     """Coefficients 0..n of the h-connected WN series, by recurrence.
 
     (k+1) S_{k+1} = 3 (2k-1) S_k - (k-2) S_{k-1}, S_1 = S_2 = 1; the
-    constant term is 0.  Exactness of the integer division is asserted.
+    constant term is 0.  Exactness of the integer division is checked.
     """
     if n < 0:
         raise BudgetExceededError(f"negative size {n}")
@@ -288,7 +250,8 @@ def schroeder_coefficients(n):
         s_k = coeffs[k]
         s_km1 = coeffs[k - 1]
         num = 3 * (2 * k - 1) * s_k - (k - 2) * s_km1
-        assert num % (k + 1) == 0, "recurrence left a remainder"
+        if num % (k + 1):
+            raise AssertionError("recurrence left a remainder")
         coeffs.append(num // (k + 1))
     return coeffs[: n + 1]
 

@@ -59,8 +59,10 @@ N2 = canonical_form(
     )
 )[0]
 
-assert set(n_shape_completions()) == {N1, N2}
-assert involution(N1) == N2
+if set(n_shape_completions()) != {N1, N2}:
+    raise AssertionError("N1, N2 are not the two zigzag completions")
+if involution(N1) != N2:
+    raise AssertionError("the involution does not swap N1 and N2")
 
 NAMED = {
     "o": O,

@@ -2,8 +2,9 @@
 
 coproduct splits a poset along its up-closed subsets of the first
 order; deconcat_coproduct_g splits along the g-factorization.  LinComb
-and TensorComb hold exact rational coefficients keyed by canonical
-representatives; no floating point anywhere.
+holds exact rational coefficients keyed by canonical representatives,
+and its subclass TensorComb keys them by (left, right) pairs; no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -17,12 +18,16 @@ from .core import (
     induced_subposet,
     _bits,
 )
-from .products import compose_many, factor_blocks
+from .products import compose_many, factorize
 
 
-def _coeff(c):
-    c = Fraction(c)
-    return c
+def _add_scaled(acc, img, c):
+    """acc += c * img, where img is a basis key or a LinComb."""
+    if isinstance(img, LinComb):
+        for k, ck in img._terms.items():
+            acc[k] = acc.get(k, 0) + c * ck
+    else:
+        acc[img] = acc.get(img, 0) + c
 
 
 class LinComb:
@@ -31,6 +36,8 @@ class LinComb:
     Keys are canonical basis objects exposing sort_key(); zero
     coefficients are never stored.  The algebra layers always insert
     canonical representatives, so key equality is isoclass equality.
+    Arithmetic keeps the operands' type, and combinations of different
+    types never compare equal.
     """
 
     __slots__ = ("_terms",)
@@ -39,7 +46,7 @@ class LinComb:
         d = {}
         if terms:
             for k, c in dict(terms).items():
-                c = _coeff(c)
+                c = Fraction(c)
                 if c:
                     d[k] = c
         self._terms = d
@@ -52,11 +59,14 @@ class LinComb:
     def term(cls, key, coeff=1):
         return cls({key: coeff})
 
+    @staticmethod
+    def _sort_key(k):
+        return k.sort_key()
+
     def terms(self):
         """Sorted (key, coefficient) pairs."""
         return tuple(
-            (k, self._terms[k])
-            for k in sorted(self._terms, key=lambda k: k.sort_key())
+            (k, self._terms[k]) for k in sorted(self._terms, key=self._sort_key)
         )
 
     def coefficient(self, key):
@@ -72,34 +82,31 @@ class LinComb:
         return len(self._terms)
 
     def __add__(self, other):
-        if not isinstance(other, LinComb):
+        if type(other) is not type(self):
             return NotImplemented
         d = dict(self._terms)
         for k, c in other._terms.items():
-            d[k] = d.get(k, Fraction(0)) + c
-        return LinComb(d)
+            d[k] = d.get(k, 0) + c
+        return type(self)(d)
 
     def __sub__(self, other):
-        if not isinstance(other, LinComb):
+        if type(other) is not type(self):
             return NotImplemented
-        d = dict(self._terms)
-        for k, c in other._terms.items():
-            d[k] = d.get(k, Fraction(0)) - c
-        return LinComb(d)
+        return self + -other
 
     def __neg__(self):
-        return LinComb({k: -c for k, c in self._terms.items()})
+        return type(self)({k: -c for k, c in self._terms.items()})
 
     def __rmul__(self, scalar):
-        c = _coeff(scalar)
-        return LinComb({k: c * v for k, v in self._terms.items()})
+        c = Fraction(scalar)
+        return type(self)({k: c * v for k, v in self._terms.items()})
 
     __mul__ = __rmul__
 
     def __eq__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        return self._terms == other._terms
+        return type(self) is type(other) and self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
@@ -108,16 +115,11 @@ class LinComb:
         """Linear extension of a basis map key -> key or key -> LinComb."""
         out = {}
         for k, c in self._terms.items():
-            img = f(k)
-            if isinstance(img, LinComb):
-                for k2, c2 in img._terms.items():
-                    out[k2] = out.get(k2, Fraction(0)) + c * c2
-            else:
-                out[img] = out.get(img, Fraction(0)) + c
+            _add_scaled(out, f(k), c)
         return LinComb(out)
 
     def filter_keys(self, pred):
-        return LinComb({k: c for k, c in self._terms.items() if pred(k)})
+        return type(self)({k: c for k, c in self._terms.items() if pred(k)})
 
     def __repr__(self):
         if not self._terms:
@@ -133,89 +135,30 @@ def extend_bilinear(f):
     """
 
     def lifted(x, y):
-        out = LinComb.zero()
-        for a, ca in x.terms():
-            for b, cb in y.terms():
-                img = f(a, b)
-                if not isinstance(img, LinComb):
-                    img = LinComb.term(img)
-                out = out + (ca * cb) * img
-        return out
+        out = {}
+        for a, ca in x._terms.items():
+            for b, cb in y._terms.items():
+                _add_scaled(out, f(a, b), ca * cb)
+        return LinComb(out)
 
     return lifted
 
 
-class TensorComb:
-    """Linear combination of ordered tensor pairs, exact coefficients."""
+class TensorComb(LinComb):
+    """LinComb keyed by ordered tensor pairs (left, right)."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for k, c in dict(terms).items():
-                c = _coeff(c)
-                if c:
-                    d[k] = c
-        self._terms = d
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def term(cls, left, right, coeff=1):
         return cls({(left, right): coeff})
 
-    def terms(self):
-        return tuple(
-            (k, self._terms[k])
-            for k in sorted(
-                self._terms, key=lambda k: (k[0].sort_key(), k[1].sort_key())
-            )
-        )
+    @staticmethod
+    def _sort_key(k):
+        return (k[0].sort_key(), k[1].sort_key())
 
     def coefficient(self, left, right):
         return self._terms.get((left, right), Fraction(0))
-
-    def is_zero(self):
-        return not self._terms
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __add__(self, other):
-        if not isinstance(other, TensorComb):
-            return NotImplemented
-        d = dict(self._terms)
-        for k, c in other._terms.items():
-            d[k] = d.get(k, Fraction(0)) + c
-        return TensorComb(d)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorComb):
-            return NotImplemented
-        d = dict(self._terms)
-        for k, c in other._terms.items():
-            d[k] = d.get(k, Fraction(0)) - c
-        return TensorComb(d)
-
-    def __neg__(self):
-        return TensorComb({k: -c for k, c in self._terms.items()})
-
-    def __rmul__(self, scalar):
-        c = _coeff(scalar)
-        return TensorComb({k: c * v for k, v in self._terms.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorComb):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def componentwise(self, op, other):
         """(a1 (x) a2) . (b1 (x) b2) = (a1 op b1) (x) (a2 op b2)."""
@@ -223,18 +166,15 @@ class TensorComb:
         for (a1, a2), ca in self._terms.items():
             for (b1, b2), cb in other._terms.items():
                 k = (op(a1, b1), op(a2, b2))
-                out[k] = out.get(k, Fraction(0)) + ca * cb
+                out[k] = out.get(k, 0) + ca * cb
         return TensorComb(out)
 
     def map_pairs(self, f):
         """Linear extension of (left, right) -> value into a LinComb."""
-        out = LinComb.zero()
+        out = {}
         for (a, b), c in self._terms.items():
-            img = f(a, b)
-            if not isinstance(img, LinComb):
-                img = LinComb.term(img)
-            out = out + c * img
-        return out
+            _add_scaled(out, f(a, b), c)
+        return LinComb(out)
 
     def __repr__(self):
         if not self._terms:
@@ -243,8 +183,16 @@ class TensorComb:
         return f"TensorComb({bits})"
 
 
-def ideals(p):
-    """All up-closed subsets of the first order, as frozensets of vertices.
+def _extend_linearly(f, x):
+    """Sum of c * f(p) over the terms c * p of a LinComb, as a TensorComb."""
+    out = {}
+    for p, c in x._terms.items():
+        _add_scaled(out, f(p), c)
+    return TensorComb(out)
+
+
+def _upset_masks(p):
+    """Yield every up-closed subset of the first order as a bitmask.
 
     Depth-first over the vertices in reverse linear-extension order: a
     vertex may join only when everything above it already has, so each
@@ -252,19 +200,21 @@ def ideals(p):
     """
     n = p.n
     order = sorted(range(n), key=lambda v: p.dn1[v].bit_count(), reverse=True)
-    masks = []
-
-    def dfs(i, mask):
+    stack = [(0, 0)]
+    while stack:
+        i, mask = stack.pop()
         if i == n:
-            masks.append(mask)
-            return
+            yield mask
+            continue
         v = order[i]
-        dfs(i + 1, mask)
         if p.up1[v] & ~mask == 0:
-            dfs(i + 1, mask | (1 << v))
+            stack.append((i + 1, mask | (1 << v)))
+        stack.append((i + 1, mask))
 
-    dfs(0, 0)
-    sets = [frozenset(b + 1 for b in _bits(m)) for m in masks]
+
+def ideals(p):
+    """All up-closed subsets of the first order, as frozensets of vertices."""
+    sets = [frozenset(b + 1 for b in _bits(m)) for m in _upset_masks(p)]
     return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
 
 
@@ -280,36 +230,18 @@ def _split(p, mask):
 def coproduct(x):
     """Sum of (P minus I) tensor I over up-closed I; linear in LinComb input."""
     if isinstance(x, LinComb):
-        out = TensorComb.zero()
-        for p, c in x.terms():
-            out = out + c * coproduct(p)
-        return out
-    p = x
-    n = p.n
-    order = sorted(range(n), key=lambda v: p.dn1[v].bit_count(), reverse=True)
+        return _extend_linearly(coproduct, x)
     acc = {}
-
-    def dfs(i, mask):
-        if i == n:
-            k = _split(p, mask)
-            acc[k] = acc.get(k, 0) + 1
-            return
-        v = order[i]
-        dfs(i + 1, mask)
-        if p.up1[v] & ~mask == 0:
-            dfs(i + 1, mask | (1 << v))
-
-    dfs(0, 0)
+    for mask in _upset_masks(x):
+        k = _split(x, mask)
+        acc[k] = acc.get(k, 0) + 1
     return TensorComb(acc)
 
 
 def reduced_coproduct(x):
     """coproduct minus the two trivial terms; rejects the empty poset."""
     if isinstance(x, LinComb):
-        out = TensorComb.zero()
-        for p, c in x.terms():
-            out = out + c * reduced_coproduct(p)
-        return out
+        return _extend_linearly(reduced_coproduct, x)
     if x.n == 0:
         raise EmptyInputError("reduced coproduct needs a nonempty poset")
     p = canonical_form(x)[0]
@@ -325,21 +257,15 @@ def deconcat_coproduct_g(x):
 
     With P = P1 g ... g Pr this is the sum over i of
     (P1 g ... g Pi) tensor (P(i+1) g ... g Pr), including both trivial
-    splits.
+    splits.  The left sizes grow strictly with i, so no two splits
+    share a key.
     """
     if isinstance(x, LinComb):
-        out = TensorComb.zero()
-        for p, c in x.terms():
-            out = out + c * deconcat_coproduct_g(p)
-        return out
-    p = x
-    blocks = factor_blocks(p, "g")
-    factors = [
-        canonical_form(induced_subposet(p, b))[0] for b in blocks
-    ]
-    out = TensorComb.zero()
-    for i in range(len(factors) + 1):
-        left = compose_many(factors[:i], "g")
-        right = compose_many(factors[i:], "g")
-        out = out + TensorComb.term(left, right)
-    return out
+        return _extend_linearly(deconcat_coproduct_g, x)
+    factors = factorize(x, "g").factors
+    return TensorComb(
+        {
+            (compose_many(factors[:i], "g"), compose_many(factors[i:], "g")): 1
+            for i in range(len(factors) + 1)
+        }
+    )

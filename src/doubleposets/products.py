@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from .core import (
+    EMPTY,
     DoublePoset,
     EmptyInputError,
     RangeError,
@@ -58,8 +59,7 @@ def compose_h(p, q):
 
 def compose_many(posets, op):
     _check_op(op)
-    out = DoublePoset._from_rows(0, [], [])
-    raw = out
+    raw = EMPTY
     for p in posets:
         raw = _compose_raw(raw, p, op)
     return canonical_form(raw)[0]
@@ -113,8 +113,6 @@ def factor_blocks(p, op):
         for v in range(n):
             groups.setdefault(find(v), []).append(v)
         blocks = list(groups.values())
-        if len(blocks) == 1:
-            break
         merged = False
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
@@ -126,10 +124,6 @@ def factor_blocks(p, op):
         if not merged:
             break
 
-    groups = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    blocks = list(groups.values())
     # Total order of the blocks along the cross relation; every pair is
     # now consistently oriented, so counting predecessors suffices.
     # (sorted over indices: list.sort(key=...) would hide `blocks` from
@@ -205,16 +199,9 @@ def twoas_decomposition_tree(p):
 
     def build(q):
         for op in ("g", "h"):
-            blocks = factor_blocks(q, op)
-            if len(blocks) > 1:
-                return TreeNode(
-                    op,
-                    tuple(
-                        build(canonical_form(induced_subposet(q, b))[0])
-                        for b in blocks
-                    ),
-                )
-        return TreeLeaf(canonical_form(q)[0])
+            if len(factor_blocks(q, op)) > 1:
+                return TreeNode(op, tuple(map(build, factorize(q, op).factors)))
+        return TreeLeaf(q)
 
     return build(canonical_form(p)[0])
 

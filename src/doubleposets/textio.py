@@ -12,6 +12,7 @@ sorted lexicographically):
 from __future__ import annotations
 
 import json
+import sys
 
 from .core import (
     DoublePoset,
@@ -48,9 +49,15 @@ class _Scanner:
             raise ParseError(
                 f"expected integer at position {self.i} in {production}"
             )
-        val = int(self.s[self.i : j])
+        # Checked on the digit string: int() itself refuses very long
+        # ones, and sizes beyond sys.maxsize overflow downstream.
+        digits = self.s[self.i : j].lstrip("0") or "0"
+        if len(digits) > len(str(sys.maxsize)) or int(digits) > sys.maxsize:
+            raise ParseError(
+                f"integer at position {self.i} exceeds {sys.maxsize} in {production}"
+            )
         self.i = j
-        return val
+        return int(digits)
 
     def peek(self, lit):
         return self.s.startswith(lit, self.i)

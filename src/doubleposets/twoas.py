@@ -21,14 +21,13 @@ from .core import (
     RangeError,
     SizeMismatchError,
     canonical_form,
-    canonical_key,
     induced_subposet,
     is_connected,
     is_plane,
     is_wn,
     _add_closed_edge,
-    _bits,
     _canonical_order_map,
+    _down_rows,
 )
 from .enumeration import PosetFamily, enumerate_family
 from .hopf import LinComb
@@ -53,16 +52,23 @@ class IndexedWNPoset:
                 raise LabelError(
                     f"need {base.n} distinct labels, got {labels!r}"
                 )
-            base, pos = _canonical_order_map(base)
-            moved = [0] * base.n
-            for old, lab in enumerate(labels):
-                moved[pos[old]] = lab
-            labels = tuple(moved)
+            carried = IndexedWNPoset._from_raw(base, labels)
+            base, labels = carried.base, carried.labels
             if not is_wn(base):
                 raise NotWNError("indexed posets must have a WN base")
         self.base = base
         self.labels = labels
         self._hash = hash((base, labels))
+
+    @classmethod
+    def _from_raw(cls, raw, labels):
+        """Decorate raw (labels[i] on vertex i+1), carrying the labels
+        along the canonical relabeling; the WN property is not checked."""
+        canon, pos = _canonical_order_map(raw)
+        moved = [0] * raw.n
+        for old, lab in enumerate(labels):
+            moved[pos[old]] = lab
+        return cls(canon, moved, _checked=True)
 
     def __eq__(self, other):
         if not isinstance(other, IndexedWNPoset):
@@ -112,13 +118,13 @@ def b_mn(m, n):
     for j in range(n):
         up2.append((upper_mask ^ ((1 << (m + j + 1)) - 1)) & upper_mask)
     base = DoublePoset._from_rows(total, up1, up2)
-    canon, _ = canonical_form(base)
-    assert canon == base, "stacked antichains should be canonical as built"
+    if canonical_form(base)[0] != base:
+        raise AssertionError("stacked antichains should be canonical as built")
     return IndexedWNPoset(base, tuple(range(1, total + 1)), _checked=True)
 
 
 def _cross_extensions(p, q):
-    """Yield closed (rows1, rows2) for every valid cross assignment.
+    """Yield the DoublePoset of every valid cross assignment.
 
     Parts keep their own relations; each cross pair ends related
     exactly once, with order-one allowed only from the p side to the
@@ -131,8 +137,6 @@ def _cross_extensions(p, q):
     base2 = [p.up2[i] for i in range(p.n)] + [
         raw.up2[i] for i in range(p.n, n)
     ]
-    from .core import _down_rows
-
     pairs = [(x, p.n + y) for x in range(p.n) for y in range(q.n)]
 
     def clash(r1, d1, r2, d2):
@@ -143,7 +147,7 @@ def _cross_extensions(p, q):
 
     def gen(idx, r1, d1, r2, d2):
         if idx == len(pairs):
-            yield tuple(r1), tuple(r2)
+            yield DoublePoset(n, tuple(r1), tuple(r2), tuple(d1), tuple(d2))
             return
         x, y = pairs[idx]
         if (r1[x] >> y & 1) or (r2[x] >> y & 1) or (r2[y] >> x & 1):
@@ -172,42 +176,31 @@ def star(p, q):
     """
     if not (is_plane(p) and is_plane(q)):
         raise NotPlaneError("star is defined on plane posets")
-    n = p.n + q.n
     acc = {}
-    for rows1, rows2 in _cross_extensions(p, q):
-        canon, _ = canonical_form(DoublePoset._from_rows(n, list(rows1), list(rows2)))
+    for ext in _cross_extensions(p, q):
+        canon = canonical_form(ext)[0]
         acc[canon] = acc.get(canon, 0) + 1
     return LinComb(acc)
 
 
-def _star_indexed(a, b, wn_only=True):
-    """Decorated star: dict IndexedWNPoset -> int multiplicity."""
-    pa, pb = a.base, b.base
+def _star_indexed(a, b):
+    """Decorated star restricted to WN terms: dict IndexedWNPoset -> int."""
     labels = a.labels + b.labels
-    n = pa.n + pb.n
     acc = {}
-    for rows1, rows2 in _cross_extensions(pa, pb):
-        poset = DoublePoset._from_rows(n, list(rows1), list(rows2))
-        if wn_only and not is_wn(poset):
-            continue
-        canon, pos = _canonical_order_map(poset)
-        moved = [0] * n
-        for old, lab in enumerate(labels):
-            moved[pos[old]] = lab
-        ip = IndexedWNPoset(canon, tuple(moved), _checked=True)
-        acc[ip] = acc.get(ip, 0) + 1
+    for ext in _cross_extensions(a.base, b.base):
+        if is_wn(ext):
+            ip = IndexedWNPoset._from_raw(ext, labels)
+            acc[ip] = acc.get(ip, 0) + 1
     return acc
 
 
 def _indexed_g(a, b):
-    """Decorated composition in the second order."""
-    raw = _compose_raw(a.base, b.base, "g")
-    labels = a.labels + b.labels
-    canon, pos = _canonical_order_map(raw)
-    moved = [0] * raw.n
-    for old, lab in enumerate(labels):
-        moved[pos[old]] = lab
-    return IndexedWNPoset(canon, tuple(moved), _checked=True)
+    """Decorated composition in the second order, as the one-term dict
+    that _convolve expects of a product."""
+    ip = IndexedWNPoset._from_raw(
+        _compose_raw(a.base, b.base, "g"), a.labels + b.labels
+    )
+    return {ip: 1}
 
 
 def phi(p):
@@ -243,78 +236,9 @@ def binfty_bracket(left, right):
     return s.filter_keys(lambda t: is_connected(t, 1) and is_wn(t))
 
 
-def count_q_families(pattern, parts, host):
-    """Number of ways host splits into blocks shaped like parts along pattern.
-
-    Blocks must be complete (interval-closed in both orders); for every
-    ordered pattern pair (i, j): i below j in order one iff some cross
-    pair is, and i before j in order two iff every cross pair is.
-    """
-    k = pattern.n
-    parts = tuple(parts)
-    if len(parts) != k:
-        raise SizeMismatchError(f"pattern has {k} vertices, got {len(parts)} parts")
-    if sum(q.n for q in parts) != host.n:
-        raise SizeMismatchError("part sizes must add up to the host size")
-    part_keys = [canonical_key(q) for q in parts]
-    n = host.n
-    full = (1 << n) - 1
-
-    def complete(mask):
-        for z in range(n):
-            if mask >> z & 1:
-                continue
-            if host.dn1[z] & mask and host.up1[z] & mask:
-                return False
-            if host.dn2[z] & mask and host.up2[z] & mask:
-                return False
-        return True
-
-    def pair_ok(i, j, bi, bj):
-        want_h = pattern.lt1(i + 1, j + 1)
-        want_r = pattern.lt2(i + 1, j + 1)
-        exists_h = any(host.up1[x] & bj for x in _bits(bi))
-        all_r = all(host.up2[x] & bj == bj for x in _bits(bi))
-        return exists_h == want_h and all_r == want_r
-
-    import itertools
-
-    count = 0
-    blocks = [0] * k
-
-    def dfs(i, remaining):
-        nonlocal count
-        if i == k:
-            count += 1
-            return
-        size = parts[i].n
-        for combo in itertools.combinations(
-            [b for b in range(n) if remaining >> b & 1], size
-        ):
-            mask = 0
-            for b in combo:
-                mask |= 1 << b
-            if not complete(mask):
-                continue
-            verts = [b + 1 for b in combo]
-            if canonical_key(induced_subposet(host, verts)) != part_keys[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if not (pair_ok(i, j, mask, blocks[j]) and pair_ok(j, i, blocks[j], mask)):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            blocks[i] = mask
-            dfs(i + 1, remaining ^ mask)
-        return
-
-    dfs(0, full)
-    return count
-
-
-def _validate_operad_args(pattern, args):
+def _operad_blocks(pattern, args):
+    """Validate the arguments; map pattern label i to args[i-1] with its
+    labels shifted past those of the earlier arguments."""
     k = pattern.base.n
     if sorted(pattern.labels) != list(range(1, k + 1)):
         raise LabelError(f"pattern labels must be 1..{k}, got {pattern.labels!r}")
@@ -326,7 +250,26 @@ def _validate_operad_args(pattern, args):
             raise LabelError(
                 f"argument labels must be 1..{a.base.n}, got {a.labels!r}"
             )
-    return args
+    blocks = {}
+    offset = 0
+    for i, a in enumerate(args):
+        blocks[i + 1] = shift_labels(a, offset)
+        offset += a.base.n
+    return blocks
+
+
+def _convolve(left, right, product):
+    """Bilinear extension over coefficient dicts.
+
+    product(a, b) returns a dict key -> multiplicity; terms whose
+    coefficients cancel are kept, callers drop them at the end.
+    """
+    out = {}
+    for a, ca in left.items():
+        for b, cb in right.items():
+            for key, c in product(a, b).items():
+                out[key] = out.get(key, 0) + ca * cb * c
+    return out
 
 
 def _substitute(ip, blocks, memo):
@@ -349,26 +292,20 @@ def _substitute(ip, blocks, memo):
         left = _substitute(_indexed_restrict(ip, gblocks[0]), blocks, memo)
         rest = [v for b in gblocks[1:] for v in b]
         right = _substitute(_indexed_restrict(ip, rest), blocks, memo)
-        out = {}
-        for ia, ca in left.items():
-            for ib, cb in right.items():
-                key = _indexed_g(ia, ib)
-                out[key] = out.get(key, 0) + ca * cb
+        out = _convolve(left, right, _indexed_g)
     else:
         hblocks = factor_blocks(ip.base, "h")
-        assert len(hblocks) > 1, "a nontrivial WN poset splits under some product"
+        if len(hblocks) < 2:
+            raise AssertionError("a nontrivial WN poset splits under some product")
         left_ip = _indexed_restrict(ip, hblocks[0])
         rest = [v for b in hblocks[1:] for v in b]
         right_ip = _indexed_restrict(ip, rest)
-        pattern_star = _star_indexed(left_ip, right_ip, wn_only=True)
-        assert pattern_star.get(ip) == 1, "poset must appear once in its own star"
+        pattern_star = _star_indexed(left_ip, right_ip)
+        if pattern_star.get(ip) != 1:
+            raise AssertionError("poset must appear once in its own star")
         left = _substitute(left_ip, blocks, memo)
         right = _substitute(right_ip, blocks, memo)
-        out = {}
-        for ia, ca in left.items():
-            for ib, cb in right.items():
-                for key, c in _star_indexed(ia, ib, wn_only=True).items():
-                    out[key] = out.get(key, 0) + ca * cb * c
+        out = _convolve(left, right, _star_indexed)
         for term, mult in pattern_star.items():
             if term == ip:
                 continue
@@ -388,15 +325,7 @@ def operad_compose(pattern, args):
     subtracts every other star term after its own substitution, so the
     signs of nested corrections cancel all multiplicities above one.
     """
-    args = _validate_operad_args(pattern, args)
-    k = pattern.base.n
-    offsets = []
-    acc = 0
-    for a in args:
-        offsets.append(acc)
-        acc += a.base.n
-    blocks = {i + 1: shift_labels(args[i], offsets[i]) for i in range(k)}
-    return LinComb(_substitute(pattern, blocks, {}))
+    return LinComb(_substitute(pattern, _operad_blocks(pattern, args), {}))
 
 
 # Expansion oracle.  Every indexed WN poset unfolds into a formal
@@ -415,12 +344,7 @@ def _indexed_restrict(ip, vertices):
 
 
 def _tree_mul(op, e1, e2):
-    out = {}
-    for t1, c1 in e1.items():
-        for t2, c2 in e2.items():
-            key = (op, t1, t2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
+    return _convolve(e1, e2, lambda t1, t2: {(op, t1, t2): 1})
 
 
 def _expansion(ip):
@@ -441,12 +365,14 @@ def _expansion(ip):
         _EXPANSION_CACHE[ip] = result
         return result
     hblocks = factor_blocks(base, "h")
-    assert len(hblocks) > 1, "a nontrivial WN poset splits under some product"
+    if len(hblocks) < 2:
+        raise AssertionError("a nontrivial WN poset splits under some product")
     left = _indexed_restrict(ip, hblocks[0])
     rest = [v for b in hblocks[1:] for v in b]
     right = _indexed_restrict(ip, rest)
-    prod = _star_indexed(left, right, wn_only=True)
-    assert prod.get(ip) == 1, "poset must appear once in its own star"
+    prod = _star_indexed(left, right)
+    if prod.get(ip) != 1:
+        raise AssertionError("poset must appear once in its own star")
     result = _tree_mul("star", _expansion(left), _expansion(right))
     for term, mult in prod.items():
         if term == ip:
@@ -467,17 +393,11 @@ def _eval_tree(tree, leaf_map, memo):
         out = {leaf_map[tree[1]]: 1}
     else:
         op, t1, t2 = tree
-        a = _eval_tree(t1, leaf_map, memo)
-        b = _eval_tree(t2, leaf_map, memo)
-        out = {}
-        for ia, ca in a.items():
-            for ib, cb in b.items():
-                if op == "g":
-                    ip = _indexed_g(ia, ib)
-                    out[ip] = out.get(ip, 0) + ca * cb
-                else:
-                    for ip, c in _star_indexed(ia, ib, wn_only=True).items():
-                        out[ip] = out.get(ip, 0) + ca * cb * c
+        out = _convolve(
+            _eval_tree(t1, leaf_map, memo),
+            _eval_tree(t2, leaf_map, memo),
+            _indexed_g if op == "g" else _star_indexed,
+        )
         out = {k: c for k, c in out.items() if c}
     memo[tree] = out
     return out
@@ -485,15 +405,7 @@ def _eval_tree(tree, leaf_map, memo):
 
 def compose_by_expansion(pattern, args):
     """Oracle route for operad_compose via the free two-product expansion."""
-    args = _validate_operad_args(pattern, args)
-    k = pattern.base.n
-    sizes = [a.base.n for a in args]
-    offsets = [0] * k
-    acc_off = 0
-    for i in range(k):
-        offsets[i] = acc_off
-        acc_off += sizes[i]
-    leaf_map = {i + 1: shift_labels(args[i], offsets[i]) for i in range(k)}
+    leaf_map = _operad_blocks(pattern, args)
     expr = _expansion(pattern)
     memo = {}
     total = {}

@@ -216,6 +216,20 @@ def test_bad_grammar_exits_two(capsys):
     assert err.startswith("error:") and "integer" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dp 99999999999999999999 h{} r{}",
+        "dp 1 h{(1," + "9" * 5000 + ")} r{}",
+    ],
+)
+def test_oversized_integer_exits_two(capsys, text):
+    code, out, err = run(capsys, "classify", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "integer" in err
+
+
 def test_usage_error_exits_two(capsys):
     code, _, err = run(capsys, "no-such-command")
     assert code == 2

@@ -65,6 +65,13 @@ def test_extend_bilinear_matches_termwise_product():
 def test_tensorcomb_componentwise_and_map_pairs():
     t = TensorComb.term(O, HC2, 2) + TensorComb.term(HC2, O, -1)
     u = TensorComb.term(O, O)
+    assert LinComb.zero() != TensorComb.zero()
+    assert LinComb.term((O, O)) != u
+    for result in (t + u, t - u, -t, 3 * t, t * Fraction(1, 2), u.filter_keys(bool)):
+        assert type(result) is TensorComb
+    assert t.terms() == (((O, HC2), 2), ((HC2, O), -1))
+    with pytest.raises(TypeError):
+        t + LinComb.term(O)
     prod = t.componentwise(compose_g, u)
     assert prod.coefficient(compose_g(O, O), compose_g(HC2, O)) == 2
     assert prod.coefficient(compose_g(HC2, O), compose_g(O, O)) == -1

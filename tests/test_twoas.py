@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
+import doubleposets
 from doubleposets import (
     EMPTY,
     EmptyListError,
@@ -20,7 +25,6 @@ from doubleposets import (
     compose_h,
     compose_many,
     coproduct,
-    count_q_families,
     extend_bilinear,
     indexed_poset,
     is_connected,
@@ -159,20 +163,6 @@ def test_bracket_rejects_bad_arguments():
         binfty_bracket([RC2], [O])
 
 
-def test_count_q_families_hand_values():
-    assert count_q_families(O, (LAMBDA,), LAMBDA) == 1
-    assert count_q_families(O, (VEE,), LAMBDA) == 0
-    # Lambda = the r-chain capped by one vertex in order one
-    assert count_q_families(HC2, (RC2, O), LAMBDA) == 1
-    assert count_q_families(HC2, (O, RC2), LAMBDA) == 0
-    assert count_q_families(RC2, (O, O), RC2) == 1
-    assert count_q_families(RC2, (O, O), HC2) == 0
-    with pytest.raises(SizeMismatchError):
-        count_q_families(HC2, (O,), HC2)
-    with pytest.raises(SizeMismatchError):
-        count_q_families(HC2, (O, HC2), HC2)
-
-
 def test_operad_units():
     unit = indexed_poset(O, (1,))
     x = indexed_poset(LAMBDA, (2, 3, 1))
@@ -192,6 +182,50 @@ def test_operad_argument_validation():
             indexed_poset(HC2, (1, 3)),
             [indexed_poset(O, (1,)), indexed_poset(O, (1,))],
         )
+
+
+_DROP_OWN_STAR_TERM = """
+import doubleposets.twoas as T
+from doubleposets import indexed_poset, new_double_poset
+
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+star_indexed = T._star_indexed
+
+
+def without_own_term(a, b):
+    own = T.IndexedWNPoset._from_raw(
+        T._compose_raw(a.base, b.base, "h"), a.labels + b.labels
+    )
+    out = star_indexed(a, b)
+    del out[own]
+    return out
+
+
+T._star_indexed = without_own_term
+unit = indexed_poset(new_double_poset(1), (1,))
+pattern = indexed_poset(new_double_poset(2, gen1=[(1, 2)]), (1, 2))
+try:
+    T.operad_compose(pattern, [unit, unit])
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    raise SystemExit("operad_compose accepted a star without its own term")
+"""
+
+
+def test_operad_invariant_holds_under_optimize():
+    src = Path(doubleposets.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _DROP_OWN_STAR_TERM],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "raised: poset must appear once in its own star\n"
 
 
 def _compose_lin(pat_lin, arg_lins):

@@ -553,13 +553,6 @@ def new_single_poset(n, gens=()):
     return SinglePoset(n, tuple(_closed_strict_rows(n, gens)))
 
 
-def single_canonical_key(q):
-    """Canonical key of a single poset via the double-poset machinery."""
-    p = DoublePoset._from_rows(q.n, list(q.up), [0] * q.n)
-    kn, pairs1, _ = canonical_form(p)[1]
-    return (kn, pairs1)
-
-
 def crown_poset(n):
     """2n vertices x_1..x_n, y_1..y_n with x_i below y_i and y_{i+1 mod n}."""
     if n < 1:

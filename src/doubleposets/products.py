@@ -5,6 +5,12 @@ x in P, y in Q gets x < y there and stays incomparable in the first);
 compose_h does the same with the roles of the orders swapped.  Both
 are associative with the empty poset as shared unit, and every poset
 factors uniquely into indecomposables for each product.
+
+Factoring is one scan over a linear extension of the product's
+stacking order (the second order for g, the first for h): the factors
+of P = A B put A wholly before B in every such extension, so cutting
+after each prefix that the whole rest stacks on yields every split,
+and the runs between the cuts are the indecomposable factors.
 """
 
 from __future__ import annotations
@@ -68,75 +74,29 @@ def compose_many(posets, op):
 def factor_blocks(p, op):
     """Vertex blocks of the maximal factorization, in product order.
 
-    Blocks are tuples of 1-based vertices.  Two vertices must share a
-    factor whenever they are not a valid cross pair of the product in
-    either direction; connected components of that graph are candidate
-    blocks, ordered by the cross relation, merging whenever a pair of
-    blocks fails the all-pairs cross test.
+    Blocks are sorted tuples of 1-based vertices.
     """
     _check_op(op)
     n = p.n
-    if n == 0:
-        return ()
     if op == "g":
-        cross_up, inc_up, inc_dn = p.up2, p.up1, p.dn1
+        stack_dn, other_up, other_dn = p.dn2, p.up1, p.dn1
     else:
-        cross_up, inc_up, inc_dn = p.up1, p.up2, p.dn2
-
-    def crosslike(x, y):
-        # x before y as a cross pair of the product.
-        return (cross_up[x] >> y & 1) and not (
-            inc_up[x] >> y & 1 or inc_dn[x] >> y & 1
-        )
-
-    # Union-find over vertices forced together.
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for x in range(n):
-        for y in range(x + 1, n):
-            if not (crosslike(x, y) or crosslike(y, x)):
-                union(x, y)
-
-    while True:
-        groups = {}
-        for v in range(n):
-            groups.setdefault(find(v), []).append(v)
-        blocks = list(groups.values())
-        merged = False
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                fwd = all(crosslike(x, y) for x in blocks[i] for y in blocks[j])
-                bwd = all(crosslike(y, x) for x in blocks[i] for y in blocks[j])
-                if not (fwd or bwd):
-                    union(blocks[i][0], blocks[j][0])
-                    merged = True
-        if not merged:
-            break
-
-    # Total order of the blocks along the cross relation; every pair is
-    # now consistently oriented, so counting predecessors suffices.
-    # (sorted over indices: list.sort(key=...) would hide `blocks` from
-    # its own key function while sorting.)
-    def below(i):
-        return sum(
-            1
-            for j in range(len(blocks))
-            if j != i and crosslike(blocks[j][0], blocks[i][0])
-        )
-
-    order = sorted(range(len(blocks)), key=below)
-    return tuple(tuple(v + 1 for v in sorted(blocks[i])) for i in order)
+        stack_dn, other_up, other_dn = p.dn1, p.up2, p.dn2
+    order = sorted(range(n), key=lambda v: stack_dn[v].bit_count())
+    # under[k]: the vertices in the stacking down-set of every vertex of
+    # order[k:] and outside its comparabilities in the other order.
+    under = [(1 << n) - 1] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        v = order[k]
+        under[k] = under[k + 1] & stack_dn[v] & ~(other_up[v] | other_dn[v])
+    blocks, block, prefix = [], [], 0
+    for k, v in enumerate(order):
+        block.append(v + 1)
+        prefix |= 1 << v
+        if prefix & under[k + 1] == prefix:
+            blocks.append(tuple(sorted(block)))
+            block = []
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)

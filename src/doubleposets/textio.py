@@ -7,6 +7,9 @@ sorted lexicographically):
     single  := "sp" INT "le{" pairs "}"
     indexed := "idp" poset "lab{" INT ":" INT ("," INT ":" INT)* "}"
     pairs   := empty | pair ("," pair)* ;  pair := "(" INT "," INT ")"
+
+The vertex count INT of "dp" and "sp" (and so of "idp") is at most
+MAX_VERTICES; a larger count is a ParseError.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ from .core import (
 
 class ParseError(PosetError):
     """Input text does not match the grammar; message names the production."""
+
+
+# Far above the dozen vertices any test or benchmark input has, and
+# below the default recursion limit, which the vertex-deep recursions
+# of pictures_count and _lexmax would otherwise reach.
+MAX_VERTICES = 512
 
 
 class _Scanner:
@@ -58,6 +67,15 @@ class _Scanner:
             )
         self.i = j
         return int(digits)
+
+    def size(self, production):
+        j = self.i
+        n = self.integer(production)
+        if n > MAX_VERTICES:
+            raise ParseError(
+                f"vertex count at position {j} exceeds {MAX_VERTICES} in {production}"
+            )
+        return n
 
     def peek(self, lit):
         return self.s.startswith(lit, self.i)
@@ -92,7 +110,7 @@ def _pairs(sc, production):
 
 def _scan_double_poset(sc):
     sc.literal("dp", "poset")
-    n = sc.integer("poset")
+    n = sc.size("poset")
     sc.literal("h", "poset relation block h{...}")
     gen1 = _pairs(sc, "poset relation block h{...}")
     sc.literal("r", "poset relation block r{...}")
@@ -110,7 +128,7 @@ def parse_double_poset(text):
 def parse_single_poset(text):
     sc = _Scanner(text)
     sc.literal("sp", "single poset")
-    n = sc.integer("single poset")
+    n = sc.size("single poset")
     sc.literal("le", "single poset relation block le{...}")
     gens = _pairs(sc, "single poset relation block le{...}")
     sc.done("single poset")

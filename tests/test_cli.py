@@ -230,6 +230,20 @@ def test_oversized_integer_exits_two(capsys, text):
     assert err.startswith("error:") and "integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "dp 100000000 h{} r{}"),
+        ("pairing", "dp 1100 h{} r{}", "dp 1100 h{} r{}"),
+    ],
+)
+def test_oversized_vertex_count_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "vertex count" in err
+
+
 def test_usage_error_exits_two(capsys):
     code, _, err = run(capsys, "no-such-command")
     assert code == 2

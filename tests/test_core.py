@@ -27,6 +27,7 @@ from doubleposets import (
     relabel,
     wn_completions,
 )
+from doubleposets import fixtures
 from doubleposets.checks import random_double_poset
 from doubleposets.enumeration import enumerate_family
 
@@ -174,6 +175,49 @@ def test_plane_completions_preserve_first_order():
         assert is_plane(p)
         # the first order of some labeling matches q up to iso
         assert comparability_counts(p)[0] == len(q.strict_pairs())
+
+
+def _labelled_digraph(nx, p):
+    """Vertices 1..n; an edge i -> j, labelled (i <1 j, i <2 j), per related pair."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(1, p.n + 1))
+    for i, j in itertools.permutations(range(1, p.n + 1), 2):
+        if p.lt1(i, j) or p.lt2(i, j):
+            g.add_edge(i, j, kind=(p.lt1(i, j), p.lt2(i, j)))
+    return g
+
+
+def test_canonical_key_matches_networkx_isomorphism(rng):
+    nx = pytest.importorskip("networkx")
+    match = nx.algorithms.isomorphism.categorical_edge_match("kind", None)
+
+    def isomorphic(p, q):
+        return nx.is_isomorphic(
+            _labelled_digraph(nx, p), _labelled_digraph(nx, q), edge_match=match
+        )
+
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        p = random_double_poset(rng, n)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        q = relabel(p, tuple(perm))
+        assert isomorphic(p, q)
+        assert canonical_key(p) == canonical_key(q)
+        r = random_double_poset(rng, n)
+        iso = isomorphic(p, r)
+        assert (canonical_key(p) == canonical_key(r)) == iso
+        seen.add(iso)
+    assert seen == {True, False}
+
+
+def test_involution_table():
+    table = fixtures.involution_table()
+    assert len(table) == 17
+    for a, b in table:
+        assert involution(a) == b
+        assert involution(b) == a
 
 
 def test_n_shape_completions_are_an_involution_pair():

@@ -146,6 +146,36 @@ def test_integer_matrix_rank_scales_fractions(rng):
         assert integer_matrix_rank(m) == _rank_fraction_gauss(m)
 
 
+def test_integer_matrix_rank_against_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    from doubleposets import integer_matrix_rank
+
+    deficient = 0
+    for _ in range(80):
+        nr = rng.randint(1, 7)
+        nc = rng.randint(1, 7)
+        # A product through k inner columns has rank at most k.
+        k = rng.randint(0, min(nr, nc))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nr)]
+        if rng.random() < 0.5:
+            right = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(k)]
+        else:
+            right = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nc)]
+                for _ in range(k)
+            ]
+        m = [
+            [sum(left[i][t] * right[t][j] for t in range(k)) for j in range(nc)]
+            for i in range(nr)
+        ]
+        want = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m]
+        ).rank()
+        assert integer_matrix_rank(m) == want
+        deficient += want < min(nr, nc)
+    assert deficient
+
+
 def test_nondegeneracy_small_bases_use_elimination():
     for fam, n in (("pp", 3), ("wn", 4), ("dp", 2)):
         rep = nondegeneracy_check(enumerate_family(fam, n))

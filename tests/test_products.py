@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from doubleposets import (
@@ -14,6 +16,7 @@ from doubleposets import (
     involution,
     is_plane,
     new_double_poset,
+    relabel,
     twoas_decomposition_tree,
 )
 from doubleposets.checks import random_double_poset
@@ -70,6 +73,53 @@ def test_factor_blocks_of_an_explicit_product():
     p = compose_g(HC2, compose_g(O, RC2))
     assert factor_blocks(p, "g") == ((1, 2), (3,), (4,), (5,))
     assert factor_blocks(p, "h") == ((1, 2, 3, 4, 5),)
+
+
+def _split_oracle_blocks(p, op):
+    """Blocks from every split, found by definition.
+
+    A nonempty proper vertex set S splits p when every x in S and y
+    outside S form a cross pair; the splits form a chain.
+    """
+    stack, other = (p.lt2, p.lt1) if op == "g" else (p.lt1, p.lt2)
+    vertices = range(1, p.n + 1)
+
+    def cross(x, y):
+        return stack(x, y) and not (other(x, y) or other(y, x))
+
+    splits = [
+        set(s)
+        for k in range(1, p.n)
+        for s in itertools.combinations(vertices, k)
+        if all(cross(x, y) for x in s for y in vertices if y not in s)
+    ]
+    chain = splits + [set(vertices)]
+    blocks, prev = [], set()
+    for s in chain:
+        assert prev < s, "splits must form a chain"
+        blocks.append(tuple(sorted(s - prev)))
+        prev = s
+    return tuple(blocks)
+
+
+def test_factor_blocks_match_split_oracle(rng):
+    samples = [p for n in (5, 6) for p in enumerate_family("pp", n)]
+    samples += [random_double_poset(rng, rng.randint(5, 9)) for _ in range(200)]
+    for _ in range(100):
+        op = rng.choice("gh")
+        sizes, left = [], rng.randint(5, 9)
+        while left:
+            sizes.append(rng.randint(1, min(left, 3)))
+            left -= sizes[-1]
+        parts = [random_double_poset(rng, k) for k in sizes]
+        p = compose_many(parts, op)
+        perm = list(range(1, p.n + 1))
+        rng.shuffle(perm)
+        samples.append(relabel(p, tuple(perm)))
+    assert any(p.n >= 9 for p in samples)
+    for p in samples:
+        for op in ("g", "h"):
+            assert factor_blocks(p, op) == _split_oracle_blocks(p, op)
 
 
 def test_factorize_round_trip_exhaustive_n3():

@@ -22,6 +22,7 @@ from doubleposets import (
     to_json,
 )
 from doubleposets.hopf import LinComb, TensorComb
+from doubleposets.textio import MAX_VERTICES
 
 O = new_double_poset(1)
 HC2 = new_double_poset(2, gen1=[(1, 2)])
@@ -107,6 +108,17 @@ def test_parse_error_names_the_production():
         parse_single_poset("sp 2 le{(1,2}")
     with pytest.raises(ParseError, match=r"lab\{i:l,\.\.\.\}"):
         parse_indexed_poset("idp dp 1 h{} r{} lab{1;1}")
+
+
+def test_vertex_count_is_capped():
+    assert parse_double_poset(f"dp {MAX_VERTICES} h{{}} r{{}}").n == MAX_VERTICES
+    too_many = MAX_VERTICES + 1
+    with pytest.raises(ParseError, match="vertex count"):
+        parse_double_poset(f"dp {too_many} h{{}} r{{}}")
+    with pytest.raises(ParseError, match="vertex count"):
+        parse_single_poset(f"sp {too_many} le{{}}")
+    with pytest.raises(ParseError, match="vertex count"):
+        parse_indexed_poset(f"idp dp {too_many} h{{}} r{{}} lab{{1:1}}")
 
 
 def test_parse_indexed_poset_label_constraints():

@@ -152,13 +152,7 @@ class DoublePoset:
     def __repr__(self):
         return f"<DoublePoset n={self.n} h={self.strict_pairs(1)} r={self.strict_pairs(2)}>"
 
-    # 1-based pair queries (non-strict).
-    def le1(self, i, j):
-        return i == j or bool(self.up1[i - 1] >> (j - 1) & 1)
-
-    def le2(self, i, j):
-        return i == j or bool(self.up2[i - 1] >> (j - 1) & 1)
-
+    # 1-based strict pair queries.
     def lt1(self, i, j):
         return bool(self.up1[i - 1] >> (j - 1) & 1)
 
@@ -183,9 +177,6 @@ class DoublePoset:
 
     def canonical(self):
         return canonical_form(self)[0]
-
-    def key(self):
-        return canonical_form(self)[1]
 
 
 EMPTY = DoublePoset._from_rows(0, [], [])
@@ -564,64 +555,85 @@ def crown_poset(n):
     return new_single_poset(2 * n, gens)
 
 
-# Incremental strict-order edge insertion with closure, shared by the
-# completion and extension searches.  rows/dns are mutable lists.
+# Plane posets as pairs of linear orders.  The union order "x <1 y or
+# x <2 y" and the other order "x <1 y or y <2 x" are both total on a
+# plane poset, x <1 y holds iff x precedes y in both, and x <2 y iff x
+# precedes y in the union order only; any two linear orders on one
+# vertex set arise this way from exactly one plane poset.
 
 
-def _add_closed_edge(rows, dns, a, b):
-    """Insert a < b and close transitively; False if b <= a already."""
-    if a == b or dns[a] >> b & 1:
-        return False
-    if rows[a] >> b & 1:
-        return True
-    up_b = rows[b] | (1 << b)
-    dn_a = dns[a] | (1 << a)
-    for x in _bits(dn_a):
-        rows[x] |= up_b
-    for y in _bits(up_b):
-        dns[y] |= dn_a
-    return True
+def _plane_from_ranks(rank2):
+    """Plane poset with vertex i at position i of the union order and at
+    rank rank2[i] of the other order; canonical as built."""
+    n = len(rank2)
+    up1, up2, dn1, dn2 = [0] * n, [0] * n, [0] * n, [0] * n
+    for i in range(n):
+        ri = rank2[i]
+        bi = 1 << i
+        for j in range(i + 1, n):
+            if rank2[j] > ri:
+                up1[i] |= 1 << j
+                dn1[j] |= bi
+            else:
+                up2[i] |= 1 << j
+                dn2[j] |= bi
+    return DoublePoset(n, tuple(up1), tuple(up2), tuple(dn1), tuple(dn2))
+
+
+def _plane_walk(before1, before2, after2):
+    """Every pair of linear orders meeting per-vertex mask constraints.
+
+    Vertices are placed in union order, each after all of before1[v],
+    and inserted into the other order at every slot that puts the
+    placed members of before2[v] ahead of it and the placed members of
+    after2[v] behind it.  Yields (R, first): R the plane poset of the
+    two orders, built by _plane_from_ranks, and first[i] the input
+    vertex at position i of the union order.  The walk keeps an
+    explicit stack, so its depth does not grow with the input.
+    """
+    n = len(before1)
+    stack = [((), (), 0)]
+    while stack:
+        first, second, placed = stack.pop()
+        if len(first) == n:
+            rank = [0] * n
+            for r, v in enumerate(second):
+                rank[v] = r
+            yield _plane_from_ranks([rank[v] for v in first]), first
+            continue
+        for v in range(n):
+            if placed >> v & 1 or before1[v] & ~placed:
+                continue
+            need = before2[v] & placed
+            avoid = after2[v]
+            prefix = 0
+            for slot in range(len(second) + 1):
+                if prefix & avoid:
+                    break
+                if not need & ~prefix:
+                    stack.append((
+                        first + (v,),
+                        second[:slot] + (v,) + second[slot:],
+                        placed | 1 << v,
+                    ))
+                if slot < len(second):
+                    prefix |= 1 << second[slot]
 
 
 def plane_completions(q):
     """All plane double posets whose first order restricts to q.
 
-    Each le2 orienting the le1-incomparable pairs is searched with
-    incremental closure; results are deduplicated as canonical forms
-    and returned sorted by key.
+    A completion is a pair of linear orders, both extending q, that
+    disagree on every q-incomparable pair; the realizer walk yields
+    them labeled, and the canonical results are deduplicated and
+    returned sorted by key.  Twins (same up and down sets) are swapped
+    by an automorphism of q, so the walk takes them in label order.
     """
-    n = q.n
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not (q.up[i] >> j & 1 or q.up[j] >> i & 1)
-    ]
-    comp1 = [q.up[i] | q.dn[i] for i in range(n)]
-    found = {}
-
-    def ok(rows2, dns2):
-        # The second order may never meet the first.
-        return all((rows2[i] | dns2[i]) & comp1[i] == 0 for i in range(n))
-
-    def dfs(idx, rows2, dns2):
-        if idx == len(pairs):
-            p = DoublePoset._from_rows(n, list(q.up), rows2)
-            if is_plane(p):
-                canon, key = canonical_form(p)
-                found[key] = canon
-            return
-        a, b = pairs[idx]
-        if rows2[a] >> b & 1 or rows2[b] >> a & 1:
-            dfs(idx + 1, rows2, dns2)
-            return
-        for x, y in ((a, b), (b, a)):
-            r2, d2 = rows2.copy(), dns2.copy()
-            if _add_closed_edge(r2, d2, x, y) and ok(r2, d2):
-                dfs(idx + 1, r2, d2)
-
-    dfs(0, [0] * n, [0] * n)
-    return tuple(found[k] for k in sorted(found))
+    full = (1 << q.n) - 1
+    sig = list(zip(q.up, q.dn))
+    before1 = [d | sum(1 << u for u in range(v) if sig[u] == sig[v]) for v, d in enumerate(q.dn)]
+    found = {r for r, _ in _plane_walk(before1, q.dn, [full ^ d for d in q.dn])}
+    return tuple(sorted(found, key=DoublePoset.identity_key))
 
 
 @functools.lru_cache(maxsize=None)

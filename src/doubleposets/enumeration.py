@@ -1,10 +1,11 @@
 """Exhaustive generation of isoclasses by size, plus counting oracles.
 
-Plane posets are generated incrementally: a new top of the total order
-is attached to a canonical (n-1)-class by choosing which old vertices
-sit below it in the first order (that set must be down-closed there,
-its complement down-closed in the second).  The result is canonical as
-labeled, so no relabeling pass is needed.  General double posets pair
+Plane posets are generated incrementally: a canonical (n-1)-class is
+a pair of linear orders with the union order as labeled, and a new
+top of the union order is inserted at each of the n slots of the other
+order (the old vertices ahead of it there sit below it in the first
+order, the rest below it in the second).  The result is canonical as
+built, so no relabeling pass is needed.  General double posets pair
 a canonical single poset with a second order taken up to the first's
 automorphisms, then get canonicalized.
 """
@@ -24,12 +25,12 @@ from .core import (
     canonical_key,
     induced_subposet,
     is_connected,
-    _add_closed_edge,
     _automorphisms,
     _bits,
     _forbidden_forest_keys,
     _forbidden_wn_keys,
     _permute_rows,
+    _plane_from_ranks,
 )
 
 
@@ -64,35 +65,15 @@ def _check_budget(family, n):
 def _plane_extensions(p):
     """All one-vertex extensions of a canonical plane poset.
 
-    The new vertex is the top of the total order; a subset H of old
-    vertices goes below it in the first order, the rest in the second.
-    Validity: H down-closed for order one, complement down-closed for
-    order two.  The extension is closed and canonical as built.
+    The new vertex is the top of the union order and takes rank k of
+    the other order, for k = 0..n; each extension is canonical as built.
     """
     n = p.n
-    full = (1 << n) - 1
-    bit_new = 1 << n
-    out = []
-    for h in range(full + 1):
-        rest = full ^ h
-        ok = True
-        for v in _bits(h):
-            if p.dn1[v] & ~h:
-                ok = False
-                break
-        if ok:
-            for v in _bits(rest):
-                if p.dn2[v] & ~rest:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        up1 = [p.up1[v] | (bit_new if h >> v & 1 else 0) for v in range(n)]
-        up2 = [p.up2[v] | (bit_new if rest >> v & 1 else 0) for v in range(n)]
-        up1.append(0)
-        up2.append(0)
-        out.append(DoublePoset._from_rows(n + 1, up1, up2))
-    return out
+    rank2 = [(p.dn1[v] | p.up2[v]).bit_count() for v in range(n)]
+    return [
+        _plane_from_ranks([r + (r >= k) for r in rank2] + [k])
+        for k in range(n + 1)
+    ]
 
 
 def _new_vertex_avoids(p, bad_keys, subset_size):
@@ -149,6 +130,22 @@ def _forest_classes(n):
     return _avoiding_extensions(
         _forest_classes(n - 1), _forbidden_forest_keys(), 3
     )
+
+
+def _add_closed_edge(rows, dns, a, b):
+    """Insert a < b into mutable strict rows and their down rows, closing
+    transitively; False if b <= a already."""
+    if a == b or dns[a] >> b & 1:
+        return False
+    if rows[a] >> b & 1:
+        return True
+    up_b = rows[b] | (1 << b)
+    dn_a = dns[a] | (1 << a)
+    for x in _bits(dn_a):
+        rows[x] |= up_b
+    for y in _bits(up_b):
+        dns[y] |= dn_a
+    return True
 
 
 @functools.lru_cache(maxsize=None)

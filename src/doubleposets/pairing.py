@@ -22,6 +22,7 @@ from .core import (
     canonical_key,
     comparability_counts,
     involution,
+    _bits,
 )
 
 
@@ -30,7 +31,11 @@ def pictures_count(p, q):
 
     Backtracking over the vertices of p in a linear extension of its
     first order; every partial assignment is checked against both
-    defining implications, restricted to the pairs it completes.
+    defining implications, restricted to the pairs it completes.  A
+    picture maps v's first-order up- and down-sets injectively into
+    the second-order ones of its image w, and pulls w's first-order
+    sets back into v's second-order ones, so only images passing that
+    degree test are tried.
     """
     n = p.n
     if q.n != n:
@@ -42,6 +47,19 @@ def pictures_count(p, q):
     up1q, up2q, dn1q, dn2q = q.up1, q.up2, q.dn1, q.dn2
     image = [0] * n
     count = 0
+    u1p, d1p, u2p, d2p, u1q, d1q, u2q, d2q = (
+        [m.bit_count() for m in rows]
+        for rows in (up1p, dn1p, up2p, dn2p, up1q, dn1q, up2q, dn2q)
+    )
+    allowed = [
+        sum(
+            1 << w
+            for w in range(n)
+            if u1p[v] <= u2q[w] and d1p[v] <= d2q[w]
+            and u1q[w] <= u2p[v] and d1q[w] <= d2p[v]
+        )
+        for v in range(n)
+    ]
 
     def dfs(k, usedq):
         nonlocal count
@@ -59,10 +77,8 @@ def pictures_count(p, q):
                 have_r_dn |= 1 << w
             if up2p[v] >> u & 1:
                 have_r_up |= 1 << w
-        for w in range(n):
+        for w in _bits(allowed[v] & ~usedq):
             bw = 1 << w
-            if usedq & bw:
-                continue
             if need_below & ~dn2q[w]:
                 continue
             if usedq & dn1q[w] & ~have_r_dn:

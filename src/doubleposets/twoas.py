@@ -3,7 +3,10 @@
 star(P, Q) realizes the coproduct-dual product on plane posets by
 enumerating cross-relation extensions of the disjoint union: every
 pair (x in P, y in Q) receives exactly one of {x below y in order one,
-x before y in order two, y before x in order two}, closures validated.
+x before y in order two, y before x in order two}.  Read as pairs of
+linear orders, these are the realizers that keep each part's two
+orders and never put a Q vertex ahead of a P vertex in both, so one
+realizer walk lists them with no closure to maintain.
 The operad on indexed WN posets substitutes decorated blocks for the
 vertices of a pattern and evaluates the pattern through the two
 products; a cached word expansion gives an independent second route.
@@ -12,7 +15,6 @@ products; a cached word expansion gives an independent second route.
 from __future__ import annotations
 
 from .core import (
-    DoublePoset,
     EmptyListError,
     LabelError,
     NotHConnectedError,
@@ -25,9 +27,9 @@ from .core import (
     is_connected,
     is_plane,
     is_wn,
-    _add_closed_edge,
     _canonical_order_map,
-    _down_rows,
+    _plane_from_ranks,
+    _plane_walk,
 )
 from .enumeration import PosetFamily, enumerate_family
 from .hopf import LinComb
@@ -110,61 +112,34 @@ def b_mn(m, n):
     if m < 1 or n < 1:
         raise RangeError("b_mn needs m, n >= 1")
     total = m + n
-    upper_mask = ((1 << n) - 1) << m
-    up1 = [upper_mask] * m + [0] * n
-    up2 = []
-    for i in range(m):
-        up2.append(((1 << m) - 1) ^ ((1 << (i + 1)) - 1))
-    for j in range(n):
-        up2.append((upper_mask ^ ((1 << (m + j + 1)) - 1)) & upper_mask)
-    base = DoublePoset._from_rows(total, up1, up2)
+    # Each chain runs backwards through the other order, lower ahead.
+    base = _plane_from_ranks([*range(m - 1, -1, -1), *range(total - 1, m - 1, -1)])
     if canonical_form(base)[0] != base:
         raise AssertionError("stacked antichains should be canonical as built")
     return IndexedWNPoset(base, tuple(range(1, total + 1)), _checked=True)
 
 
 def _cross_extensions(p, q):
-    """Yield the DoublePoset of every valid cross assignment.
+    """Yield (R, first) for every valid cross assignment.
 
     Parts keep their own relations; each cross pair ends related
     exactly once, with order-one allowed only from the p side to the
-    q side.  Closure is maintained incrementally and branches that
-    relate any pair in both orders are cut.
+    q side.  Vertex v of p is input v, vertex v of q is input p.n + v;
+    R is canonical and first maps its union positions to inputs.
     """
-    raw = _compose_raw(p, q, "g")
-    n = raw.n
-    base1 = [raw.up1[i] for i in range(n)]
-    base2 = [p.up2[i] for i in range(p.n)] + [
-        raw.up2[i] for i in range(p.n, n)
-    ]
-    pairs = [(x, p.n + y) for x in range(p.n) for y in range(q.n)]
-
-    def clash(r1, d1, r2, d2):
-        for i in range(n):
-            if (r1[i] | d1[i]) & (r2[i] | d2[i]):
-                return True
-        return False
-
-    def gen(idx, r1, d1, r2, d2):
-        if idx == len(pairs):
-            yield DoublePoset(n, tuple(r1), tuple(r2), tuple(d1), tuple(d2))
-            return
-        x, y = pairs[idx]
-        if (r1[x] >> y & 1) or (r2[x] >> y & 1) or (r2[y] >> x & 1):
-            yield from gen(idx + 1, r1, d1, r2, d2)
-            return
-        for which, a, b in ((1, x, y), (2, x, y), (2, y, x)):
-            nr1, nd1, nr2, nd2 = r1.copy(), d1.copy(), r2.copy(), d2.copy()
-            rows, dns = (nr1, nd1) if which == 1 else (nr2, nd2)
-            if not _add_closed_edge(rows, dns, a, b):
-                continue
-            if clash(nr1, nd1, nr2, nd2):
-                continue
-            yield from gen(idx + 1, nr1, nd1, nr2, nd2)
-
-    d1 = _down_rows(n, base1)
-    d2 = _down_rows(n, base2)
-    yield from gen(0, base1, d1, base2, d2)
+    before1, before2, after2 = [], [], []
+    for part, shift in ((p, 0), (q, p.n)):
+        for v in range(part.n):
+            before1.append((part.dn1[v] | part.dn2[v]) << shift)
+            before2.append((part.dn1[v] | part.up2[v]) << shift)
+            after2.append((part.up1[v] | part.dn2[v]) << shift)
+    # A q vertex ahead of a p vertex in the union order must follow it
+    # in the other order, or the pair would be related downward in
+    # order one.
+    qmask = ((1 << q.n) - 1) << p.n
+    for x in range(p.n):
+        after2[x] |= qmask
+    return _plane_walk(before1, before2, after2)
 
 
 def star(p, q):
@@ -177,9 +152,8 @@ def star(p, q):
     if not (is_plane(p) and is_plane(q)):
         raise NotPlaneError("star is defined on plane posets")
     acc = {}
-    for ext in _cross_extensions(p, q):
-        canon = canonical_form(ext)[0]
-        acc[canon] = acc.get(canon, 0) + 1
+    for r, _ in _cross_extensions(p, q):
+        acc[r] = acc.get(r, 0) + 1
     return LinComb(acc)
 
 
@@ -187,9 +161,9 @@ def _star_indexed(a, b):
     """Decorated star restricted to WN terms: dict IndexedWNPoset -> int."""
     labels = a.labels + b.labels
     acc = {}
-    for ext in _cross_extensions(a.base, b.base):
-        if is_wn(ext):
-            ip = IndexedWNPoset._from_raw(ext, labels)
+    for r, first in _cross_extensions(a.base, b.base):
+        if is_wn(r):
+            ip = IndexedWNPoset(r, [labels[v] for v in first], _checked=True)
             acc[ip] = acc.get(ip, 0) + 1
     return acc
 

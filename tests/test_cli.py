@@ -165,6 +165,26 @@ def test_complete_plane_two_antichain(capsys):
     assert out.splitlines() == ["dp 2 h{} r{(1,2)}"]
 
 
+def test_complete_plane_two_long_chains(capsys):
+    # Two disjoint 50-chains: far more incomparable pairs than the
+    # interpreter's recursion limit allows frames.
+    chains = ",".join(
+        f"({i},{i + 1})" for i in list(range(1, 50)) + list(range(51, 100))
+    )
+    code, out, err = run(capsys, "complete", "--target", "plane", f"sp 100 le{{{chains}}}")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1
+
+
+def test_complete_plane_wide_antichain(capsys):
+    # Interchangeable vertices are placed in one union order only, so a
+    # 40-point antichain walks one pair of linear orders instead of 40!.
+    code, out, err = run(capsys, "complete", "--target", "plane", "sp 40 le{}")
+    chain = ",".join(f"({i},{j})" for i in range(1, 41) for j in range(i + 1, 41))
+    assert code == 0 and err == ""
+    assert out == f"dp 40 h{{}} r{{{chain}}}\n"
+
+
 def test_complete_wn_filters(capsys):
     code, out, _ = run(capsys, "complete", "--target", "wn", "sp 1 le{}")
     assert code == 0

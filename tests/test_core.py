@@ -29,7 +29,8 @@ from doubleposets import (
 )
 from doubleposets import fixtures
 from doubleposets.checks import random_double_poset
-from doubleposets.enumeration import enumerate_family
+from doubleposets.core import SinglePoset
+from doubleposets.enumeration import _single_poset_classes, enumerate_family
 
 
 def test_closure_is_computed():
@@ -175,6 +176,42 @@ def test_plane_completions_preserve_first_order():
         assert is_plane(p)
         # the first order of some labeling matches q up to iso
         assert comparability_counts(p)[0] == len(q.strict_pairs())
+
+
+def _completions_oracle(q):
+    """Canonical keys of every orientation of q's incomparable pairs
+    that closes to a plane poset."""
+    rel = set(q.strict_pairs())
+    free = [
+        (i, j)
+        for i, j in itertools.combinations(range(1, q.n + 1), 2)
+        if (i, j) not in rel and (j, i) not in rel
+    ]
+    keys = set()
+    for flips in itertools.product((False, True), repeat=len(free)):
+        gen2 = [(j, i) if f else (i, j) for (i, j), f in zip(free, flips)]
+        try:
+            p = new_double_poset(q.n, q.strict_pairs(), gen2)
+        except CycleError:
+            continue
+        if is_plane(p):
+            keys.add(canonical_key(p))
+    return sorted(keys)
+
+
+def test_plane_completions_match_orientation_oracle(rng):
+    classes = [
+        SinglePoset(n, rows) for n in range(6) for rows in _single_poset_classes(n)
+    ]
+    assert len(classes) == 88
+    for c in classes:
+        perm = list(range(1, c.n + 1))
+        rng.shuffle(perm)
+        q = new_single_poset(
+            c.n, [(perm[i - 1], perm[j - 1]) for i, j in c.strict_pairs()]
+        )
+        got = [canonical_key(p) for p in plane_completions(q)]
+        assert got == _completions_oracle(q)
 
 
 def _labelled_digraph(nx, p):

@@ -43,9 +43,21 @@ def test_pictures_count_matches_bruteforce_exhaustive():
 
 def test_pictures_count_matches_bruteforce_sampled(rng):
     for _ in range(60):
-        p = random_double_poset(rng, 4)
-        q = random_double_poset(rng, 4)
+        n = rng.randint(4, 6)
+        p = random_double_poset(rng, n)
+        q = random_double_poset(rng, n)
         assert pictures_count(p, q) == pictures_count_bruteforce(p, q)
+
+
+def test_pictures_between_long_chains():
+    # One picture, found without searching the assignments that leave
+    # too few larger images for the rest of the chain.
+    n = 64
+    chain = [(i, i + 1) for i in range(1, n)]
+    hchain = new_double_poset(n, gen1=chain)
+    rchain = new_double_poset(n, gen2=chain)
+    assert pictures_count(hchain, rchain) == 1
+    assert pictures_count(rchain, hchain) == 1
 
 
 def test_pairing_symmetric_and_relabel_invariant(rng):

@@ -113,15 +113,24 @@ def test_star_rejects_non_plane():
         star(flat, O)
 
 
-def test_star_is_dual_to_the_coproduct():
+def _shuffled(rng, p):
+    perm = list(range(1, p.n + 1))
+    rng.shuffle(perm)
+    return relabel(p, tuple(perm))
+
+
+def test_star_is_dual_to_the_coproduct(rng):
     pools = {n: enumerate_family("pp", n) for n in range(5)}
     for np in range(3):
         for nq in range(3):
             for p in pools[np]:
                 for q in pools[nq]:
-                    s = star(p, q)
-                    for r in pools[np + nq]:
-                        assert s.coefficient(r) == coproduct(r).coefficient(p, q)
+                    for s in (
+                        star(p, q),
+                        star(_shuffled(rng, p), _shuffled(rng, q)),
+                    ):
+                        for r in pools[np + nq]:
+                            assert s.coefficient(r) == coproduct(r).coefficient(p, q)
 
 
 def test_phi_values():

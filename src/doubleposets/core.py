@@ -504,6 +504,27 @@ def automorphism_count(p):
     return sum(1 for _ in _automorphisms((p.up1, p.up2)))
 
 
+def _upset_masks(p):
+    """Yield every up-closed subset of the first order as a bitmask.
+
+    Depth-first over the vertices in reverse linear-extension order: a
+    vertex may join only when everything above it already has, so each
+    up-set appears exactly once.
+    """
+    n = p.n
+    order = sorted(range(n), key=lambda v: p.dn1[v].bit_count(), reverse=True)
+    stack = [(0, 0)]
+    while stack:
+        i, mask = stack.pop()
+        if i == n:
+            yield mask
+            continue
+        v = order[i]
+        if p.up1[v] & ~mask == 0:
+            stack.append((i + 1, mask | (1 << v)))
+        stack.append((i + 1, mask))
+
+
 # Single posets (one order), used by the completion searches.
 
 

@@ -5,9 +5,12 @@ a pair of linear orders with the union order as labeled, and a new
 top of the union order is inserted at each of the n slots of the other
 order (the old vertices ahead of it there sit below it in the first
 order, the rest below it in the second).  The result is canonical as
-built, so no relabeling pass is needed.  General double posets pair
-a canonical single poset with a second order taken up to the first's
-automorphisms, then get canonicalized.
+built, so no relabeling pass is needed.  Unlabeled single posets grow
+one new maximal vertex at a time too, put above the complement of
+each up-set of a smaller class, and are canonicalized to drop repeats.
+General double posets pair a canonical single poset with a second
+order, drawn from the relabelings of every single class and taken up
+to the first's automorphisms, then get canonicalized.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from .core import (
     induced_subposet,
     is_connected,
     _automorphisms,
-    _bits,
     _forbidden_forest_keys,
     _forbidden_wn_keys,
     _permute_rows,
     _plane_from_ranks,
+    _upset_masks,
 )
 
 
@@ -132,71 +135,43 @@ def _forest_classes(n):
     )
 
 
-def _add_closed_edge(rows, dns, a, b):
-    """Insert a < b into mutable strict rows and their down rows, closing
-    transitively; False if b <= a already."""
-    if a == b or dns[a] >> b & 1:
-        return False
-    if rows[a] >> b & 1:
-        return True
-    up_b = rows[b] | (1 << b)
-    dn_a = dns[a] | (1 << a)
-    for x in _bits(dn_a):
-        rows[x] |= up_b
-    for y in _bits(up_b):
-        dns[y] |= dn_a
-    return True
-
-
-@functools.lru_cache(maxsize=None)
-def _labeled_single_posets(n):
-    """All strict-closure row tuples of partial orders on 1..n."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = []
-
-    def dfs(idx, rows, dns, none_pairs):
-        if idx == len(pairs):
-            out.append(tuple(rows))
-            return
-        a, b = pairs[idx]
-        if rows[a] >> b & 1 or rows[b] >> a & 1:
-            # Already forced by closure of earlier choices.
-            dfs(idx + 1, rows, dns, none_pairs)
-            return
-        dfs(idx + 1, rows, dns, none_pairs + ((a, b),))
-        for x, y in ((a, b), (b, a)):
-            r2, d2 = rows.copy(), dns.copy()
-            if not _add_closed_edge(r2, d2, x, y):
-                continue
-            # Pairs already decided incomparable must stay that way.
-            if any(r2[i] >> j & 1 or r2[j] >> i & 1 for i, j in none_pairs):
-                continue
-            dfs(idx + 1, r2, d2, none_pairs)
-
-    dfs(0, [0] * n, [0] * n, ())
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=None)
 def _single_poset_classes(n):
-    """Canonical row tuples of unlabeled posets on n vertices."""
+    """Canonical row tuples of unlabeled posets on n vertices.
+
+    Each (n-1)-class gains a new vertex above exactly the vertices
+    outside one of its up-sets.  Deleting a maximal vertex of any poset
+    leaves a smaller one, so every class is reached.
+    """
+    if n == 0:
+        return ((),)
+    top = 1 << (n - 1)
     seen = {}
-    for rows in _labeled_single_posets(n):
-        p = DoublePoset._from_rows(n, list(rows), [0] * n)
-        canon, key = canonical_form(p)
-        if key not in seen:
-            seen[key] = canon.up1
+    for rows in _single_poset_classes(n - 1):
+        p = DoublePoset._from_rows(n - 1, rows, [0] * (n - 1))
+        for up in _upset_masks(p):
+            ext = [r if up >> v & 1 else r | top for v, r in enumerate(rows)]
+            canon, key = canonical_form(
+                DoublePoset._from_rows(n, ext + [0], [0] * n)
+            )
+            seen.setdefault(key, canon.up1)
     return tuple(seen[k] for k in sorted(seen))
 
 
 @functools.lru_cache(maxsize=None)
 def _dp_classes(n):
+    # Every labeled single order is a relabeling of one class.
+    labeled = {
+        _permute_rows(rows, perm)
+        for rows in _single_poset_classes(n)
+        for perm in itertools.permutations(range(n))
+    }
     out = []
     seen = set()
     for rows1 in _single_poset_classes(n):
         auts = list(_automorphisms((rows1,)))
         orbit_seen = set()
-        for rows2 in _labeled_single_posets(n):
+        for rows2 in labeled:
             rep = min(_permute_rows(rows2, perm) for perm in auts)
             if rep in orbit_seen:
                 continue

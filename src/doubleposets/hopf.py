@@ -17,6 +17,7 @@ from .core import (
     canonical_form,
     induced_subposet,
     _bits,
+    _upset_masks,
 )
 from .products import compose_many, factorize
 
@@ -189,27 +190,6 @@ def _extend_linearly(f, x):
     for p, c in x._terms.items():
         _add_scaled(out, f(p), c)
     return TensorComb(out)
-
-
-def _upset_masks(p):
-    """Yield every up-closed subset of the first order as a bitmask.
-
-    Depth-first over the vertices in reverse linear-extension order: a
-    vertex may join only when everything above it already has, so each
-    up-set appears exactly once.
-    """
-    n = p.n
-    order = sorted(range(n), key=lambda v: p.dn1[v].bit_count(), reverse=True)
-    stack = [(0, 0)]
-    while stack:
-        i, mask = stack.pop()
-        if i == n:
-            yield mask
-            continue
-        v = order[i]
-        if p.up1[v] & ~mask == 0:
-            stack.append((i + 1, mask | (1 << v)))
-        stack.append((i + 1, mask))
 
 
 def ideals(p):

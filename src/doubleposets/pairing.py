@@ -224,8 +224,9 @@ def nondegeneracy_check(basis):
     """
     basis = _check_same_size(basis)
     keys = {canonical_key(p) for p in basis}
-    for p in basis:
-        if canonical_key(involution(p)) not in keys:
+    images = {p: involution(p) for p in basis}
+    for p, image in images.items():
+        if canonical_key(image) not in keys:
             raise BasisNotIotaClosedError(
                 f"involution image of {p!r} missing from basis"
             )
@@ -236,7 +237,7 @@ def nondegeneracy_check(basis):
         rank = integer_matrix_rank(pairing_matrix(basis).entries)
         return NondegeneracyReport(rank == size, rank, size, "elimination")
     rows = xy_order(basis)
-    cols = [involution(p) for p in rows]
+    cols = [images[p] for p in rows]
     ok = True
     for i, p in enumerate(rows):
         if pictures_count(p, cols[i]) <= 0:

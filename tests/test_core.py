@@ -29,7 +29,7 @@ from doubleposets import (
 )
 from doubleposets import fixtures
 from doubleposets.checks import random_double_poset
-from doubleposets.core import SinglePoset
+from doubleposets.core import SinglePoset, _plane_from_ranks
 from doubleposets.enumeration import _single_poset_classes, enumerate_family
 
 
@@ -287,6 +287,33 @@ def test_forest_excludes_lambda():
     assert is_forest(vee)
     chain = new_double_poset(2, gen1=[(1, 2)])
     assert is_forest(chain)
+
+
+def _contains_pattern(sigma, pattern):
+    k = len(pattern)
+    return any(
+        all(
+            (vals[a] < vals[b]) == (pattern[a] < pattern[b])
+            for a in range(k)
+            for b in range(a + 1, k)
+        )
+        for vals in itertools.combinations(sigma, k)
+    )
+
+
+def test_wn_and_forest_are_pattern_classes():
+    # With vertices in union order and sigma the ranks of the other
+    # order, WN posets are the separable permutations (avoiding 2413
+    # and 3142) and plane forests the 213-avoiders.
+    for n in range(1, 7):
+        for sigma in itertools.permutations(range(n)):
+            p = _plane_from_ranks(sigma)
+            separable = not (
+                _contains_pattern(sigma, (1, 3, 0, 2))
+                or _contains_pattern(sigma, (2, 0, 3, 1))
+            )
+            assert is_wn(p) == separable, sigma
+            assert is_forest(p) == (not _contains_pattern(sigma, (1, 0, 2))), sigma
 
 
 def test_wn_completions_filter():

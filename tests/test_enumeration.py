@@ -1,8 +1,12 @@
+import math
+
 import pytest
 
 from doubleposets import (
     BudgetExceededError,
+    DoublePoset,
     PosetFamily,
+    automorphism_count,
     canonical_key,
     catalan_numbers,
     count_family,
@@ -15,6 +19,7 @@ from doubleposets import (
 )
 from doubleposets.enumeration import (
     BUDGETS,
+    _single_poset_classes,
     enumerate_family,
     wnp_reference_counts,
 )
@@ -27,6 +32,23 @@ def test_family_counts_small():
     assert [count_family("pf", n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
     assert [count_family("wnh", n) for n in range(6)] == [0, 1, 1, 3, 11, 45]
     assert [count_family("wnr", n) for n in range(6)] == [0, 1, 1, 3, 11, 45]
+
+
+def test_single_poset_classes_count_labeled_posets():
+    # OEIS A000112 (unlabeled posets) and A001035 (labeled posets): the
+    # orbit sizes n!/|Aut| add up to the labeled count only if every
+    # class appears exactly once.  The check uses no canonical form.
+    unlabeled = [1, 1, 2, 5, 16, 63, 318]
+    labeled = [1, 1, 3, 19, 219, 4231, 130023]
+    for n in range(7):
+        classes = _single_poset_classes(n)
+        assert len(classes) == unlabeled[n]
+        orbits = [
+            math.factorial(n)
+            // automorphism_count(DoublePoset._from_rows(n, rows, [0] * n))
+            for rows in classes
+        ]
+        assert sum(orbits) == labeled[n]
 
 
 def test_enumeration_is_canonical_sorted_unique():

@@ -20,7 +20,6 @@ from .core import (
     NotWNError,
     PosetError,
     RangeError,
-    SinglePoset,
     SizeMismatchError,
     automorphism_count,
     canonical_form,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from . import fixtures
 from .core import (
+    EMPTY,
+    RangeError,
     automorphism_count,
     canonical_form,
     involution,
@@ -58,7 +60,7 @@ def _row(name, ok, detail=""):
 def random_double_poset(rng, n):
     """Uniform-ish random double poset: random acyclic generators, relabeled."""
     if n == 0:
-        return new_double_poset(0)
+        return EMPTY
     gen1 = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1) if rng.random() < 0.4]
     gen2 = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1) if rng.random() < 0.4]
     p = new_double_poset(n, gen1, gen2)
@@ -157,8 +159,8 @@ def suite_hopf(max_n=5, samples=160, seed=20240901):
             lhs_t = coproduct(compose_h(p, q))
             # the bare p (x) q term bypasses canonicalizing operations
             rhs_t = (
-                TensorComb.term(p, _empty()).componentwise(compose_h, coproduct(q))
-                + coproduct(p).componentwise(compose_h, TensorComb.term(_empty(), q))
+                TensorComb.term(p, EMPTY).componentwise(compose_h, coproduct(q))
+                + coproduct(p).componentwise(compose_h, TensorComb.term(EMPTY, q))
                 - TensorComb.term(canonical_form(p)[0], canonical_form(q)[0])
             )
             if lhs_t != rhs_t and infin:
@@ -184,10 +186,6 @@ def suite_hopf(max_n=5, samples=160, seed=20240901):
     out.append(_row(f"adjunction g/coproduct ({samples} random)", adj_g, adj_g_w))
     out.append(_row(f"adjunction h/deconcatenation ({samples} random)", adj_h, adj_h_w))
     return out
-
-
-def _empty():
-    return new_double_poset(0)
 
 
 def suite_pairing(max_n=5):
@@ -390,4 +388,6 @@ def run_suite(name, max_n):
         fn = SUITES[name]
     except KeyError:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if max_n < 0:
+        raise RangeError(f"negative size bound {max_n}")
     return fn(max_n)

@@ -15,6 +15,7 @@ import sys
 from .checks import SUITES, run_suite
 from .core import (
     PosetError,
+    RangeError,
     crown_poset,
     is_connected,
     is_forest,
@@ -28,6 +29,7 @@ from .hopf import coproduct, deconcat_coproduct_g, reduced_coproduct
 from .pairing import nondegeneracy_check, pairing_matrix, pictures_count, xy_order
 from .products import compose_g, compose_h, factorize
 from .textio import (
+    MAX_VERTICES,
     ParseError,
     format_double_poset,
     format_lincomb,
@@ -159,6 +161,10 @@ def _cmd_complete(args):
 
 
 def _cmd_crown(args):
+    if 2 * args.n > MAX_VERTICES:
+        raise RangeError(
+            f"crown has 2N vertices, at most {MAX_VERTICES}; got N={args.n}"
+        )
     print(format_single_poset(crown_poset(args.n)))
     return 0
 

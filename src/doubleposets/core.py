@@ -159,7 +159,7 @@ class DoublePoset:
     def lt2(self, i, j):
         return bool(self.up2[i - 1] >> (j - 1) & 1)
 
-    def strict_pairs(self, which):
+    def strict_pairs(self, which=1):
         """Sorted tuple of strictly related 1-based pairs of one order."""
         up = self.up1 if which == 1 else self.up2
         return tuple(
@@ -459,20 +459,16 @@ def involution(p):
     return canonical_form(swapped)[0]
 
 
-def _automorphisms(orders):
-    """Yield every vertex permutation preserving each strict order.
+def _automorphisms(p):
+    """Yield every vertex permutation preserving both strict orders of p.
 
-    orders is a nonempty tuple of strict-closure row tuples on one
-    vertex set; a permutation is yielded as the 0-based image tuple.
-    Vertices only map to vertices with the same up/down degrees.
+    A permutation is yielded as the 0-based image tuple.  Vertices only
+    map to vertices with the same up/down degrees.
     """
-    n = len(orders[0])
-    downs = [_down_rows(n, rows) for rows in orders]
+    n = p.n
+    orders = (p.up1, p.up2)
     profile = [
-        tuple(
-            (rows[v].bit_count(), dns[v].bit_count())
-            for rows, dns in zip(orders, downs)
-        )
+        tuple(rows[v].bit_count() for rows in (p.up1, p.dn1, p.up2, p.dn2))
         for v in range(n)
     ]
     image = [0] * n
@@ -501,7 +497,7 @@ def _automorphisms(orders):
 
 def automorphism_count(p):
     """Number of relabelings fixing both relations, by backtracking."""
-    return sum(1 for _ in _automorphisms((p.up1, p.up2)))
+    return sum(1 for _ in _automorphisms(p))
 
 
 def _upset_masks(p):
@@ -525,44 +521,12 @@ def _upset_masks(p):
         stack.append((i + 1, mask))
 
 
-# Single posets (one order), used by the completion searches.
-
-
-class SinglePoset:
-    """Immutable single partial order on 1..n, strict closure rows."""
-
-    __slots__ = ("n", "up", "dn", "_hash")
-
-    def __init__(self, n, up):
-        self.n = n
-        self.up = up
-        self.dn = tuple(_down_rows(n, up))
-        self._hash = hash((n, up))
-
-    def __eq__(self, other):
-        if not isinstance(other, SinglePoset):
-            return NotImplemented
-        return self.n == other.n and self.up == other.up
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"<SinglePoset n={self.n} le={self.strict_pairs()}>"
-
-    def strict_pairs(self):
-        return tuple(
-            (i + 1, j + 1) for i in range(self.n) for j in _bits(self.up[i])
-        )
-
-    def identity_key(self):
-        return (self.n, self.strict_pairs())
+# A single poset is a double poset whose second order is empty; the
+# completion searches read only its first order.
 
 
 def new_single_poset(n, gens=()):
-    if n < 0:
-        raise RangeError(f"negative size {n}")
-    return SinglePoset(n, tuple(_closed_strict_rows(n, gens)))
+    return new_double_poset(n, gens)
 
 
 def crown_poset(n):
@@ -642,18 +606,19 @@ def _plane_walk(before1, before2, after2):
 
 
 def plane_completions(q):
-    """All plane double posets whose first order restricts to q.
+    """All plane double posets whose first order restricts to q's.
 
-    A completion is a pair of linear orders, both extending q, that
+    Only the first order of q is read; its second order is ignored.  A
+    completion is a pair of linear orders, both extending q, that
     disagree on every q-incomparable pair; the realizer walk yields
     them labeled, and the canonical results are deduplicated and
     returned sorted by key.  Twins (same up and down sets) are swapped
     by an automorphism of q, so the walk takes them in label order.
     """
     full = (1 << q.n) - 1
-    sig = list(zip(q.up, q.dn))
-    before1 = [d | sum(1 << u for u in range(v) if sig[u] == sig[v]) for v, d in enumerate(q.dn)]
-    found = {r for r, _ in _plane_walk(before1, q.dn, [full ^ d for d in q.dn])}
+    sig = list(zip(q.up1, q.dn1))
+    before1 = [d | sum(1 << u for u in range(v) if sig[u] == sig[v]) for v, d in enumerate(q.dn1)]
+    found = {r for r, _ in _plane_walk(before1, q.dn1, [full ^ d for d in q.dn1])}
     return tuple(sorted(found, key=DoublePoset.identity_key))
 
 
@@ -701,5 +666,5 @@ def is_forest(p):
 
 
 def wn_completions(q):
-    """The WN members of plane_completions(q)."""
+    """The WN members of plane_completions(q); q's second order is not read."""
     return tuple(c for c in plane_completions(q) if is_wn(c))

@@ -137,24 +137,23 @@ def _forest_classes(n):
 
 @functools.lru_cache(maxsize=None)
 def _single_poset_classes(n):
-    """Canonical row tuples of unlabeled posets on n vertices.
+    """Canonical unlabeled posets on n vertices, second order empty.
 
     Each (n-1)-class gains a new vertex above exactly the vertices
     outside one of its up-sets.  Deleting a maximal vertex of any poset
     leaves a smaller one, so every class is reached.
     """
     if n == 0:
-        return ((),)
+        return (EMPTY,)
     top = 1 << (n - 1)
     seen = {}
-    for rows in _single_poset_classes(n - 1):
-        p = DoublePoset._from_rows(n - 1, rows, [0] * (n - 1))
+    for p in _single_poset_classes(n - 1):
         for up in _upset_masks(p):
-            ext = [r if up >> v & 1 else r | top for v, r in enumerate(rows)]
+            ext = [r if up >> v & 1 else r | top for v, r in enumerate(p.up1)]
             canon, key = canonical_form(
                 DoublePoset._from_rows(n, ext + [0], [0] * n)
             )
-            seen.setdefault(key, canon.up1)
+            seen.setdefault(key, canon)
     return tuple(seen[k] for k in sorted(seen))
 
 
@@ -162,21 +161,21 @@ def _single_poset_classes(n):
 def _dp_classes(n):
     # Every labeled single order is a relabeling of one class.
     labeled = {
-        _permute_rows(rows, perm)
-        for rows in _single_poset_classes(n)
+        _permute_rows(q.up1, perm)
+        for q in _single_poset_classes(n)
         for perm in itertools.permutations(range(n))
     }
     out = []
     seen = set()
-    for rows1 in _single_poset_classes(n):
-        auts = list(_automorphisms((rows1,)))
+    for q in _single_poset_classes(n):
+        auts = list(_automorphisms(q))
         orbit_seen = set()
         for rows2 in labeled:
             rep = min(_permute_rows(rows2, perm) for perm in auts)
             if rep in orbit_seen:
                 continue
             orbit_seen.add(rep)
-            p = DoublePoset._from_rows(n, rows1, rep)
+            p = DoublePoset._from_rows(n, q.up1, rep)
             canon, key = canonical_form(p)
             if key in seen:
                 raise AssertionError("duplicate isoclass from orbit transversal")

@@ -42,25 +42,16 @@ class IndexedWNPoset:
 
     base is stored canonical; labels[i] decorates canonical vertex
     i+1.  Plane posets are rigid, so (base, labels) is a complete
-    isomorphism invariant of the decorated object.
+    isomorphism invariant of the decorated object.  The constructor
+    trusts its arguments; indexed_poset validates outside input.
     """
 
     __slots__ = ("base", "labels", "_hash")
 
-    def __init__(self, base, labels, _checked=False):
-        labels = tuple(labels)
-        if not _checked:
-            if len(labels) != base.n or len(set(labels)) != base.n:
-                raise LabelError(
-                    f"need {base.n} distinct labels, got {labels!r}"
-                )
-            carried = IndexedWNPoset._from_raw(base, labels)
-            base, labels = carried.base, carried.labels
-            if not is_wn(base):
-                raise NotWNError("indexed posets must have a WN base")
+    def __init__(self, base, labels):
         self.base = base
-        self.labels = labels
-        self._hash = hash((base, labels))
+        self.labels = tuple(labels)
+        self._hash = hash((base, self.labels))
 
     @classmethod
     def _from_raw(cls, raw, labels):
@@ -70,7 +61,7 @@ class IndexedWNPoset:
         moved = [0] * raw.n
         for old, lab in enumerate(labels):
             moved[pos[old]] = lab
-        return cls(canon, moved, _checked=True)
+        return cls(canon, moved)
 
     def __eq__(self, other):
         if not isinstance(other, IndexedWNPoset):
@@ -92,14 +83,21 @@ class IndexedWNPoset:
 
 
 def indexed_poset(p, labels):
-    """Decorate a poset (any labeling) and canonicalize the pair."""
-    return IndexedWNPoset(p, labels)
+    """Decorate a poset (any labeling) and canonicalize the pair.
+
+    Raises LabelError unless the labels are p.n distinct values and
+    NotWNError unless p is WN.
+    """
+    labels = tuple(labels)
+    if len(labels) != p.n or len(set(labels)) != p.n:
+        raise LabelError(f"need {p.n} distinct labels, got {labels!r}")
+    if not is_wn(p):
+        raise NotWNError("indexed posets must have a WN base")
+    return IndexedWNPoset._from_raw(p, labels)
 
 
 def shift_labels(ip, k):
-    return IndexedWNPoset(
-        ip.base, tuple(lab + k for lab in ip.labels), _checked=True
-    )
+    return IndexedWNPoset(ip.base, tuple(lab + k for lab in ip.labels))
 
 
 def b_mn(m, n):
@@ -116,7 +114,7 @@ def b_mn(m, n):
     base = _plane_from_ranks([*range(m - 1, -1, -1), *range(total - 1, m - 1, -1)])
     if canonical_form(base)[0] != base:
         raise AssertionError("stacked antichains should be canonical as built")
-    return IndexedWNPoset(base, tuple(range(1, total + 1)), _checked=True)
+    return IndexedWNPoset(base, tuple(range(1, total + 1)))
 
 
 def _cross_extensions(p, q):
@@ -163,7 +161,7 @@ def _star_indexed(a, b):
     acc = {}
     for r, first in _cross_extensions(a.base, b.base):
         if is_wn(r):
-            ip = IndexedWNPoset(r, [labels[v] for v in first], _checked=True)
+            ip = IndexedWNPoset(r, [labels[v] for v in first])
             acc[ip] = acc.get(ip, 0) + 1
     return acc
 
@@ -312,9 +310,11 @@ _EXPANSION_CACHE = {}
 
 
 def _indexed_restrict(ip, vertices):
-    sub = induced_subposet(ip.base, vertices)
-    labels = tuple(ip.labels[v - 1] for v in sorted(vertices))
-    return IndexedWNPoset(sub, labels)
+    # An induced subposet of a WN poset is WN, and its labels stay distinct.
+    vs = sorted(vertices)
+    return IndexedWNPoset._from_raw(
+        induced_subposet(ip.base, vs), [ip.labels[v - 1] for v in vs]
+    )
 
 
 def _tree_mul(op, e1, e2):

@@ -197,6 +197,17 @@ def test_crown_poset_text(capsys):
     assert out == "sp 4 le{(1,3),(1,4),(2,3),(2,4)}\n"
 
 
+def test_crown_size_cap(capsys):
+    code, out, _ = run(capsys, "crown", "256")
+    assert code == 0
+    assert out.startswith("sp 512 le{(1,257),(1,258),")
+    for n in ("257", "100000000"):
+        code, out, err = run(capsys, "crown", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "512" in err
+
+
 def test_check_suite_passes(capsys):
     code, out, _ = run(capsys, "check", "--suite", "sequences", "--max-n", "3")
     assert code == 0
@@ -214,6 +225,14 @@ def test_check_suite_failure_exit(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--suite", "hopf", "--max-n", "2")
     assert code == 1
     assert out == "PASS good\nFAIL bad: mismatch at n=2\n1 passed, 1 failed\n"
+
+
+@pytest.mark.parametrize("suite", ["hopf", "operad", "pairing", "sequences"])
+def test_check_negative_max_n_exits_two(capsys, suite):
+    code, out, err = run(capsys, "check", "--suite", suite, "--max-n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "-1" in err
 
 
 def test_export_json(capsys):

@@ -29,7 +29,7 @@ from doubleposets import (
 )
 from doubleposets import fixtures
 from doubleposets.checks import random_double_poset
-from doubleposets.core import SinglePoset, _plane_from_ranks
+from doubleposets.core import _plane_from_ranks
 from doubleposets.enumeration import _single_poset_classes, enumerate_family
 
 
@@ -200,9 +200,7 @@ def _completions_oracle(q):
 
 
 def test_plane_completions_match_orientation_oracle(rng):
-    classes = [
-        SinglePoset(n, rows) for n in range(6) for rows in _single_poset_classes(n)
-    ]
+    classes = [q for n in range(6) for q in _single_poset_classes(n)]
     assert len(classes) == 88
     for c in classes:
         perm = list(range(1, c.n + 1))

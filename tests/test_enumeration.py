@@ -1,10 +1,10 @@
+import itertools
 import math
 
 import pytest
 
 from doubleposets import (
     BudgetExceededError,
-    DoublePoset,
     PosetFamily,
     automorphism_count,
     canonical_key,
@@ -43,12 +43,38 @@ def test_single_poset_classes_count_labeled_posets():
     for n in range(7):
         classes = _single_poset_classes(n)
         assert len(classes) == unlabeled[n]
-        orbits = [
-            math.factorial(n)
-            // automorphism_count(DoublePoset._from_rows(n, rows, [0] * n))
-            for rows in classes
-        ]
+        orbits = [math.factorial(n) // automorphism_count(q) for q in classes]
         assert sum(orbits) == labeled[n]
+
+
+def _labeled_posets(n):
+    """Every strict partial order on range(n) as a frozenset of pairs,
+    by brute force over all subsets of the ordered pairs."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for mask in range(1 << len(pairs)):
+        rel = {pair for k, pair in enumerate(pairs) if mask >> k & 1}
+        if all((j, i) not in rel for i, j in rel) and all(
+            (i, l) in rel for i, j in rel for k, l in rel if j == k
+        ):
+            out.append(frozenset(rel))
+    return out
+
+
+def test_dp_counts_by_burnside():
+    # A labeled double poset is a pair of labeled posets, so a vertex
+    # permutation fixing fix(s) posets fixes fix(s)**2 double posets,
+    # and Burnside's lemma counts the isoclasses with no canonical form.
+    for n, want in enumerate([1, 1, 5, 65, 2098]):
+        posets = _labeled_posets(n)
+        total = 0
+        for perm in itertools.permutations(range(n)):
+            fixed = sum(
+                1 for rel in posets if {(perm[i], perm[j]) for i, j in rel} == rel
+            )
+            total += fixed**2
+        assert total % math.factorial(n) == 0
+        assert count_family("dp", n) == total // math.factorial(n) == want
 
 
 def test_enumeration_is_canonical_sorted_unique():

@@ -115,10 +115,12 @@ class DoublePoset:
 
     Construct through new_double_poset (validates and closes the
     generators); internal code uses _from_rows with already closed
-    strict rows.
+    strict rows.  Three derived values are cached on the object as they
+    are first asked for: the canonical form, the involution image and
+    the comparability counts.
     """
 
-    __slots__ = ("n", "up1", "up2", "dn1", "dn2", "_hash", "_canon")
+    __slots__ = ("n", "up1", "up2", "dn1", "dn2", "_hash", "_canon", "_iota", "_xy")
 
     def __init__(self, n, up1, up2, dn1, dn2):
         self.n = n
@@ -128,6 +130,8 @@ class DoublePoset:
         self.dn2 = dn2
         self._hash = hash((n, up1, up2))
         self._canon = None
+        self._iota = None
+        self._xy = None
 
     @staticmethod
     def _from_rows(n, rows1, rows2):
@@ -245,9 +249,12 @@ def induced_subposet(p, vertices):
 
 def comparability_counts(p):
     """(X, Y) = number of strictly le1- resp. le2-related ordered pairs."""
-    x = sum(m.bit_count() for m in p.up1)
-    y = sum(m.bit_count() for m in p.up2)
-    return x, y
+    if p._xy is None:
+        p._xy = (
+            sum(m.bit_count() for m in p.up1),
+            sum(m.bit_count() for m in p.up2),
+        )
+    return p._xy
 
 
 def is_plane(p):
@@ -454,9 +461,19 @@ def _canonical_order_map(p):
 
 
 def involution(p):
-    """Swap the two orders; returned in canonical form."""
-    swapped = DoublePoset(p.n, p.up2, p.up1, p.dn2, p.dn1)
-    return canonical_form(swapped)[0]
+    """Swap the two orders; returned in canonical form.
+
+    The image is cached on p.  When the canonical form of p is already
+    known, the image's cache is filled with it as well, so applying the
+    involution twice costs nothing.
+    """
+    if p._iota is None:
+        swapped = DoublePoset(p.n, p.up2, p.up1, p.dn2, p.dn1)
+        image = canonical_form(swapped)[0]
+        p._iota = image
+        if p._canon is not None:
+            image._iota = p._canon[0]
+    return p._iota
 
 
 def _automorphisms(p):

@@ -35,10 +35,17 @@ def pictures_count(p, q):
     picture maps v's first-order up- and down-sets injectively into
     the second-order ones of its image w, and pulls w's first-order
     sets back into v's second-order ones, so only images passing that
-    degree test are tried.
+    degree test are tried.  A picture also maps the X strict first-order
+    pairs of p injectively onto second-order pairs of q and pulls q's
+    first-order pairs back onto second-order pairs of p, so the count is
+    0 at once unless X_p <= Y_q and X_q <= Y_p.
     """
     n = p.n
     if q.n != n:
+        return 0
+    xp, yp = comparability_counts(p)
+    xq, yq = comparability_counts(q)
+    if xp > yq or xq > yp:
         return 0
     if n == 0:
         return 1
@@ -135,11 +142,19 @@ class PairingMatrix:
 
 
 def pairing_matrix(basis):
+    """Gram matrix of the picture pairing on one basis.
+
+    The pairing is symmetric (a picture's inverse is a picture the
+    other way), so only the entries with j >= i are counted and the
+    lower triangle mirrors them.
+    """
     basis = _check_same_size(basis)
-    entries = tuple(
-        tuple(pictures_count(p, q) for q in basis) for p in basis
-    )
-    return PairingMatrix(basis=basis, entries=entries)
+    size = len(basis)
+    rows = [[0] * size for _ in range(size)]
+    for i, p in enumerate(basis):
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = pictures_count(p, basis[j])
+    return PairingMatrix(basis=basis, entries=tuple(map(tuple, rows)))
 
 
 def xy_order(basis):
@@ -224,9 +239,8 @@ def nondegeneracy_check(basis):
     """
     basis = _check_same_size(basis)
     keys = {canonical_key(p) for p in basis}
-    images = {p: involution(p) for p in basis}
-    for p, image in images.items():
-        if canonical_key(image) not in keys:
+    for p in basis:
+        if canonical_key(involution(p)) not in keys:
             raise BasisNotIotaClosedError(
                 f"involution image of {p!r} missing from basis"
             )
@@ -237,7 +251,7 @@ def nondegeneracy_check(basis):
         rank = integer_matrix_rank(pairing_matrix(basis).entries)
         return NondegeneracyReport(rank == size, rank, size, "elimination")
     rows = xy_order(basis)
-    cols = [images[p] for p in rows]
+    cols = [involution(p) for p in rows]
     ok = True
     for i, p in enumerate(rows):
         if pictures_count(p, cols[i]) <= 0:

@@ -13,10 +13,11 @@ def dp_bases():
 
 @pytest.fixture(scope="session")
 def dp4_gram(dp_bases):
-    """Full pairing matrix on the size-4 basis.
+    """Full pairing matrix on the size-4 basis, both triangles counted.
 
-    Cost sits around two minutes; both the symmetry and the rank
-    criteria read from this one computation.
+    Takes 16-36 s on a 2-vCPU machine; both the symmetry and the
+    rank criteria read from this one computation, so it must not be
+    mirrored the way pairing_matrix is.
     """
     basis = dp_bases[4]
     return tuple(tuple(pictures_count(p, q) for q in basis) for p in basis)

@@ -255,6 +255,34 @@ def test_involution_table():
         assert involution(b) == a
 
 
+def test_involution_is_memoized_both_ways(rng):
+    relabeled = 0
+    for _ in range(40):
+        p = random_double_poset(rng, rng.randint(2, 5))
+        canon = canonical_form(p)[0]
+        image = involution(canon)
+        assert involution(canon) is image
+        assert involution(image) is canon
+        perm = list(range(1, p.n + 1))
+        rng.shuffle(perm)
+        q = relabel(canon, tuple(perm))
+        if q == canon:
+            continue
+        relabeled += 1
+        # A second relabeling whose canonical form is not yet known.
+        r = relabel(q, tuple(perm))
+        assert involution(involution(r)) == canonical_form(r)[0]
+        assert canonical_form(q)[0] == canon
+        assert involution(q) is involution(q)
+        assert involution(involution(q)) == canon
+    assert relabeled >= 20
+    table = fixtures.involution_table()
+    for _ in range(2):
+        for a, b in table:
+            assert involution(a) == b
+            assert involution(b) == a
+
+
 def test_n_shape_completions_are_an_involution_pair():
     a, b = n_shape_completions()
     assert a != b

@@ -87,6 +87,15 @@ def test_pairing_matrix_shape_and_size_guard():
         pairing_matrix([O, HC2])
 
 
+def test_pairing_matrix_matches_direct_counts(rng):
+    for basis in (enumerate_family("dp", 3), rng.sample(enumerate_family("dp", 4), 40)):
+        entries = pairing_matrix(basis).entries
+        for i, p in enumerate(basis):
+            for j, q in enumerate(basis):
+                assert entries[i][j] == pictures_count(p, q)
+                assert pictures_count(p, q) == pictures_count(q, p)
+
+
 def test_xy_order_sorts_by_comparability_gap():
     basis = enumerate_family("pp", 3)
     ordered = xy_order(basis)
